@@ -100,6 +100,10 @@ pub struct ClientStats {
     pub backoff_skips: u64,
     /// Operations that failed after exhausting retries.
     pub failures: u64,
+    /// Retries held back until a handoff window closed: a `NotOwner`
+    /// after a `Moved` in the same operation, or a `Moved` back to a
+    /// worker that already redirected it.
+    pub handoff_waits: u64,
     /// GETs served from the client's front cache without touching the
     /// wire (a subset of `hits`).
     pub front_hits: u64,
@@ -445,6 +449,15 @@ pub struct Client {
     stats: ClientStats,
 }
 
+/// One operation's record of the handoffs it has met.
+#[derive(Default)]
+struct Handoffs {
+    /// Workers that answered this op with `Moved`.
+    redirected_by: Vec<WorkerAddr>,
+    /// Handoff waits so far; each doubles the next window.
+    waits: u32,
+}
+
 impl Client {
     /// Starts a [`ClientBuilder`] — the way to construct a client.
     pub fn builder(
@@ -531,15 +544,20 @@ impl Client {
         self.poll_coordinator()
     }
 
-    /// Next backoff window: `base × 2^streak`, capped at `max`, jittered
-    /// uniformly into `[window/2, window]` so a herd of clients chasing
-    /// the same migration desynchronizes.
+    /// Next poller backoff window; each fruitless poll doubles it.
     fn next_backoff_delay(&mut self) -> Duration {
-        let exp = self.backoff_streak.min(16);
+        let delay = self.backoff_window(self.backoff_streak);
         self.backoff_streak = self.backoff_streak.saturating_add(1);
+        delay
+    }
+
+    /// The `streak`-th backoff window: `base × 2^streak`, capped at
+    /// `max`, jittered uniformly into `[window/2, window]` so a herd of
+    /// clients chasing the same migration desynchronizes.
+    fn backoff_window(&mut self, streak: u32) -> Duration {
         let window = self
             .backoff_base
-            .saturating_mul(1u32 << exp)
+            .saturating_mul(1u32 << streak.min(16))
             .min(self.backoff_max);
         let rng = self.rng_next();
         let nanos = window.as_nanos() as u64;
@@ -592,6 +610,58 @@ impl Client {
         };
         self.mapping.apply_delta(&d);
         self.decay_front_sketch();
+    }
+
+    /// Follows a `Moved` from `from`. A redirect back to a worker that
+    /// already redirected this op means one end still forwards stale (a
+    /// coordinated migration's drained bucket not yet delivered, say),
+    /// so the retry waits out the handoff instead of bouncing.
+    fn follow_moved(
+        &mut self,
+        op: &mut Handoffs,
+        from: WorkerAddr,
+        cachelet: mbal_core::types::CacheletId,
+        new_owner: WorkerAddr,
+        deadline: Instant,
+    ) {
+        self.apply_moved(cachelet, new_owner);
+        let cycle = op.redirected_by.contains(&new_owner);
+        op.redirected_by.push(from);
+        if cycle {
+            self.await_handoff(op, deadline);
+        }
+    }
+
+    /// Answers `NotOwner` with a resync. After a `Moved` in the same
+    /// operation the redirect was right but early: the new owner has
+    /// not adopted the cachelet yet (a Phase 2 `Release` ran, its
+    /// `Adopt` has not), so the retry also waits out the handoff.
+    fn on_not_owner(&mut self, op: &mut Handoffs, deadline: Instant) {
+        if op.redirected_by.is_empty() {
+            self.resync_mapping();
+        } else {
+            self.await_handoff(op, deadline);
+        }
+    }
+
+    /// Resyncs the mapping; if that changes nothing, sleeps for the
+    /// op's next backoff window — the poller's schedule, doubling from
+    /// its base with each wait of this op — or until `deadline` if
+    /// sooner, so the next attempt lands after the handoff instead of
+    /// inside it. The doubling restarts with every op, so one long
+    /// handoff does not slow the ones after it.
+    fn await_handoff(&mut self, op: &mut Handoffs, deadline: Instant) {
+        if self.resync_mapping() > 0 {
+            return;
+        }
+        let window = self.backoff_window(op.waits);
+        op.waits = op.waits.saturating_add(1);
+        let until = (Instant::now() + window).min(deadline);
+        let now = Instant::now();
+        if until > now {
+            self.stats.handoff_waits += 1;
+            std::thread::sleep(until - now);
+        }
     }
 
     /// Looks up `key`. Replica-aware: hot keys spread across their home
@@ -682,6 +752,7 @@ impl Client {
     fn get_home(&mut self, key: &[u8]) -> Result<Option<Value>, ClientError> {
         let deadline = Instant::now() + self.op_budget;
         let mut last_err = ClientError::RetriesExhausted;
+        let mut handoffs = Handoffs::default();
         for _ in 0..self.max_retries {
             let Some(left) = Self::remaining(deadline) else {
                 break;
@@ -733,7 +804,7 @@ impl Client {
                     cachelet,
                     new_owner,
                 } => {
-                    self.apply_moved(cachelet, new_owner);
+                    self.follow_moved(&mut handoffs, worker, cachelet, new_owner, deadline);
                     continue;
                 }
                 Response::Fail { status, message } => match status {
@@ -742,8 +813,9 @@ impl Client {
                         continue;
                     }
                     Status::NotOwner => {
-                        // Stale mapping with no forward: resync.
-                        self.resync_mapping();
+                        // Stale mapping with no forward, or a handoff
+                        // still in flight.
+                        self.on_not_owner(&mut handoffs, deadline);
                         continue;
                     }
                     _ => return Err(ClientError::rejected(status, message)),
@@ -868,6 +940,7 @@ impl Client {
         let value = Value::copy_from_slice(value);
         let deadline = Instant::now() + self.op_budget;
         let mut last_err = ClientError::RetriesExhausted;
+        let mut handoffs = Handoffs::default();
         for _ in 0..self.max_retries {
             let Some(left) = Self::remaining(deadline) else {
                 break;
@@ -904,7 +977,7 @@ impl Client {
                     cachelet,
                     new_owner,
                 } => {
-                    self.apply_moved(cachelet, new_owner);
+                    self.follow_moved(&mut handoffs, worker, cachelet, new_owner, deadline);
                     continue;
                 }
                 Response::Fail { status, message } => match status {
@@ -913,7 +986,7 @@ impl Client {
                         continue;
                     }
                     Status::NotOwner => {
-                        self.resync_mapping();
+                        self.on_not_owner(&mut handoffs, deadline);
                         continue;
                     }
                     _ => return Err(ClientError::rejected(status, message)),
@@ -942,6 +1015,7 @@ impl Client {
         mut accept: impl FnMut(Response) -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
         let deadline = Instant::now() + self.op_budget;
+        let mut handoffs = Handoffs::default();
         for _ in 0..self.max_retries {
             let Some(left) = Self::remaining(deadline) else {
                 break;
@@ -959,7 +1033,7 @@ impl Client {
                     cachelet,
                     new_owner,
                 } => {
-                    self.apply_moved(cachelet, new_owner);
+                    self.follow_moved(&mut handoffs, worker, cachelet, new_owner, deadline);
                     continue;
                 }
                 Response::Fail { status, message } => match status {
@@ -968,7 +1042,7 @@ impl Client {
                         continue;
                     }
                     Status::NotOwner => {
-                        self.resync_mapping();
+                        self.on_not_owner(&mut handoffs, deadline);
                         continue;
                     }
                     _ => {
@@ -1105,6 +1179,7 @@ impl Client {
         self.front_invalidate(key);
         let deadline = Instant::now() + self.op_budget;
         let mut last_err = ClientError::RetriesExhausted;
+        let mut handoffs = Handoffs::default();
         for _ in 0..self.max_retries {
             let Some(left) = Self::remaining(deadline) else {
                 break;
@@ -1139,14 +1214,14 @@ impl Client {
                     cachelet,
                     new_owner,
                 } => {
-                    self.apply_moved(cachelet, new_owner);
+                    self.follow_moved(&mut handoffs, worker, cachelet, new_owner, deadline);
                     continue;
                 }
                 Response::Fail {
                     status: Status::NotOwner,
                     ..
                 } => {
-                    self.resync_mapping();
+                    self.on_not_owner(&mut handoffs, deadline);
                     continue;
                 }
                 Response::Fail { status, message } => {
@@ -1215,6 +1290,7 @@ impl Client {
 mod tests {
     use super::*;
     use mbal_ring::ConsistentRing;
+    use mbal_server::transport::serial_call_many;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
@@ -1249,6 +1325,19 @@ mod tests {
     }
 
     impl Transport for FlakyTransport {
+        fn call_many(
+            &self,
+            addr: WorkerAddr,
+            reqs: Vec<Request>,
+            deadline: Duration,
+        ) -> Vec<Result<Response, TransportError>> {
+            serial_call_many(self, addr, reqs, deadline)
+        }
+
+        fn cast(&self, addr: WorkerAddr, req: Request) {
+            let _ = self.call(addr, req);
+        }
+
         fn call(&self, addr: WorkerAddr, req: Request) -> Result<Response, TransportError> {
             self.call_with_deadline(addr, req, DEFAULT_DEADLINE)
         }
@@ -1365,6 +1454,19 @@ mod tests {
     struct RefusingTransport;
 
     impl Transport for RefusingTransport {
+        fn call_many(
+            &self,
+            addr: WorkerAddr,
+            reqs: Vec<Request>,
+            deadline: Duration,
+        ) -> Vec<Result<Response, TransportError>> {
+            serial_call_many(self, addr, reqs, deadline)
+        }
+
+        fn cast(&self, addr: WorkerAddr, req: Request) {
+            let _ = self.call(addr, req);
+        }
+
         fn call(&self, addr: WorkerAddr, req: Request) -> Result<Response, TransportError> {
             self.call_with_deadline(addr, req, DEFAULT_DEADLINE)
         }
@@ -1491,6 +1593,19 @@ mod tests {
     struct NotOwnerTransport;
 
     impl Transport for NotOwnerTransport {
+        fn call_many(
+            &self,
+            addr: WorkerAddr,
+            reqs: Vec<Request>,
+            deadline: Duration,
+        ) -> Vec<Result<Response, TransportError>> {
+            serial_call_many(self, addr, reqs, deadline)
+        }
+
+        fn cast(&self, addr: WorkerAddr, req: Request) {
+            let _ = self.call(addr, req);
+        }
+
         fn call(&self, addr: WorkerAddr, req: Request) -> Result<Response, TransportError> {
             self.call_with_deadline(addr, req, DEFAULT_DEADLINE)
         }
@@ -1566,11 +1681,208 @@ mod tests {
         assert!(client.backoff_until.is_none(), "and closes the window");
     }
 
+    /// Worker `A` owns every cachelet in the client's mapping; `B` is
+    /// where they are moving.
+    const A: WorkerAddr = WorkerAddr::new(0, 0);
+    const B: WorkerAddr = WorkerAddr::new(0, 1);
+
+    /// How a scripted handoff looks from the client until it settles.
+    #[derive(Clone, Copy)]
+    enum Handoff {
+        /// `A` forwards to `B`, which has not adopted the cachelet yet.
+        NotAdopted,
+        /// `A` and `B` each forward to the other.
+        Cycle,
+    }
+
+    /// Plays one handoff for `window` after the first call (forever
+    /// when `None`), then serves every op at its new owner `B`.
+    struct HandoffTransport {
+        handoff: Handoff,
+        /// The window, and when its first call came.
+        window: Mutex<(Option<Duration>, Option<Instant>)>,
+        calls: AtomicUsize,
+    }
+
+    impl HandoffTransport {
+        fn new(handoff: Handoff, window: Option<Duration>) -> Arc<Self> {
+            Arc::new(Self {
+                handoff,
+                window: Mutex::new((window, None)),
+                calls: AtomicUsize::new(0),
+            })
+        }
+
+        /// Plays the handoff again, for `window` from the next call.
+        fn restart(&self, window: Duration) {
+            *self.window.lock().unwrap() = (Some(window), None);
+        }
+
+        fn settled(&self) -> bool {
+            let (window, started) = &mut *self.window.lock().unwrap();
+            let started = *started.get_or_insert_with(Instant::now);
+            window.is_some_and(|w| started.elapsed() >= w)
+        }
+    }
+
+    impl Transport for HandoffTransport {
+        fn call(&self, addr: WorkerAddr, req: Request) -> Result<Response, TransportError> {
+            self.call_with_deadline(addr, req, DEFAULT_DEADLINE)
+        }
+
+        fn call_with_deadline(
+            &self,
+            addr: WorkerAddr,
+            req: Request,
+            _deadline: Duration,
+        ) -> Result<Response, TransportError> {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            let cachelet = match req {
+                Request::Get { cachelet, .. }
+                | Request::Set { cachelet, .. }
+                | Request::Add { cachelet, .. }
+                | Request::Delete { cachelet, .. } => cachelet,
+                other => panic!("unexpected request {other:?}"),
+            };
+            let moved = |new_owner| Response::Moved {
+                cachelet,
+                new_owner,
+            };
+            Ok(match (self.settled(), addr == B, self.handoff) {
+                (true, true, _) => match req {
+                    Request::Get { .. } => Response::Value {
+                        value: b"v".to_vec().into(),
+                        replicas: vec![],
+                    },
+                    Request::Delete { .. } => Response::Deleted,
+                    _ => Response::Stored,
+                },
+                (_, false, _) => moved(B),
+                (false, true, Handoff::NotAdopted) => Response::Fail {
+                    status: Status::NotOwner,
+                    message: String::new(),
+                },
+                (false, true, Handoff::Cycle) => moved(A),
+            })
+        }
+
+        fn call_many(
+            &self,
+            addr: WorkerAddr,
+            reqs: Vec<Request>,
+            deadline: Duration,
+        ) -> Vec<Result<Response, TransportError>> {
+            serial_call_many(self, addr, reqs, deadline)
+        }
+
+        fn cast(&self, addr: WorkerAddr, req: Request) {
+            let _ = self.call(addr, req);
+        }
+    }
+
+    fn handoff_client(transport: Arc<HandoffTransport>, budget: Duration) -> Client {
+        let mut ring = ConsistentRing::new();
+        ring.add_worker(A);
+        let mapping = MappingTable::build(&ring, 2, 16);
+        Client::builder(transport, Arc::new(StaticCoord(mapping)))
+            .op_budget(budget)
+            .build()
+    }
+
+    #[test]
+    fn not_owner_after_a_redirect_waits_for_the_adopt() {
+        let window = Duration::from_millis(2);
+        for op in ["get", "set", "delete", "add"] {
+            let transport = HandoffTransport::new(Handoff::NotAdopted, Some(window));
+            let mut c = handoff_client(transport.clone(), DEFAULT_DEADLINE);
+            let started = Instant::now();
+            match op {
+                "get" => assert_eq!(c.get(b"k").expect(op), Some(b"v".to_vec().into())),
+                "set" => assert!(c
+                    .set_opts(b"k", b"v", SetOptions::new())
+                    .expect(op)
+                    .is_stored()),
+                "add" => assert!(c
+                    .set_opts(b"k", b"v", SetOptions::add())
+                    .expect(op)
+                    .is_stored()),
+                _ => assert!(c.delete(b"k").expect(op)),
+            }
+            assert!(
+                started.elapsed() >= window,
+                "{op} succeeded inside the window"
+            );
+            assert!(c.stats().handoff_waits > 0, "{op}");
+            assert!(
+                transport.calls.load(Ordering::SeqCst) <= 8,
+                "{op} spent more than its retries"
+            );
+        }
+    }
+
+    #[test]
+    fn a_redirect_cycle_waits_until_it_resolves() {
+        let window = Duration::from_millis(2);
+        let transport = HandoffTransport::new(Handoff::Cycle, Some(window));
+        let mut c = handoff_client(transport, DEFAULT_DEADLINE);
+        assert_eq!(c.get(b"k").expect("get"), Some(b"v".to_vec().into()));
+        assert!(c.stats().handoff_waits > 0);
+        let transport = HandoffTransport::new(Handoff::Cycle, Some(window));
+        let mut c = handoff_client(transport, DEFAULT_DEADLINE);
+        assert!(c
+            .set_opts(b"k", b"v", SetOptions::new())
+            .expect("set")
+            .is_stored());
+    }
+
+    #[test]
+    fn a_long_handoff_does_not_slow_the_next_one() {
+        let transport = HandoffTransport::new(Handoff::Cycle, Some(Duration::from_millis(50)));
+        let mut c = handoff_client(transport.clone(), DEFAULT_DEADLINE);
+        assert_eq!(c.get(b"k").expect("get"), Some(b"v".to_vec().into()));
+        let long_waits = c.stats().handoff_waits;
+        assert!(long_waits >= 3, "{long_waits} waits");
+        // The next handoff's waits start again from the 2 ms base, not
+        // from where the long one left off (32 ms or more).
+        transport.restart(Duration::from_millis(2));
+        let started = Instant::now();
+        assert_eq!(c.get(b"k").expect("get"), Some(b"v".to_vec().into()));
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(25), "took {took:?}");
+        assert!(c.stats().handoff_waits > long_waits);
+    }
+
+    #[test]
+    fn an_endless_redirect_cycle_fails_at_the_op_budget() {
+        let budget = Duration::from_millis(50);
+        let transport = HandoffTransport::new(Handoff::Cycle, None);
+        let mut c = handoff_client(transport, budget);
+        let started = Instant::now();
+        assert_eq!(c.get(b"k"), Err(ClientError::RetriesExhausted));
+        let took = started.elapsed();
+        assert!(took >= budget, "gave up before the budget: {took:?}");
+        assert!(took < budget * 4, "overran the budget: {took:?}");
+        assert_eq!(c.stats().failures, 1);
+    }
+
     /// Asserts every data op arrives wrapped for tenant 7 and answers
     /// the inner verb's happy response.
     struct TenantCheckingTransport;
 
     impl Transport for TenantCheckingTransport {
+        fn call_many(
+            &self,
+            addr: WorkerAddr,
+            reqs: Vec<Request>,
+            deadline: Duration,
+        ) -> Vec<Result<Response, TransportError>> {
+            serial_call_many(self, addr, reqs, deadline)
+        }
+
+        fn cast(&self, addr: WorkerAddr, req: Request) {
+            let _ = self.call(addr, req);
+        }
+
         fn call(&self, addr: WorkerAddr, req: Request) -> Result<Response, TransportError> {
             self.call_with_deadline(addr, req, DEFAULT_DEADLINE)
         }
@@ -1655,6 +1967,19 @@ mod tests {
         struct UnknownTenantTransport;
 
         impl Transport for UnknownTenantTransport {
+            fn call_many(
+                &self,
+                addr: WorkerAddr,
+                reqs: Vec<Request>,
+                deadline: Duration,
+            ) -> Vec<Result<Response, TransportError>> {
+                serial_call_many(self, addr, reqs, deadline)
+            }
+
+            fn cast(&self, addr: WorkerAddr, req: Request) {
+                let _ = self.call(addr, req);
+            }
+
             fn call(&self, addr: WorkerAddr, req: Request) -> Result<Response, TransportError> {
                 self.call_with_deadline(addr, req, DEFAULT_DEADLINE)
             }
@@ -1699,6 +2024,19 @@ mod tests {
     }
 
     impl Transport for ValueTransport {
+        fn call_many(
+            &self,
+            addr: WorkerAddr,
+            reqs: Vec<Request>,
+            deadline: Duration,
+        ) -> Vec<Result<Response, TransportError>> {
+            serial_call_many(self, addr, reqs, deadline)
+        }
+
+        fn cast(&self, addr: WorkerAddr, req: Request) {
+            let _ = self.call(addr, req);
+        }
+
         fn call(&self, addr: WorkerAddr, req: Request) -> Result<Response, TransportError> {
             self.call_with_deadline(addr, req, DEFAULT_DEADLINE)
         }

@@ -43,6 +43,19 @@ impl MockTransport {
 }
 
 impl Transport for MockTransport {
+    fn call_with_deadline(
+        &self,
+        addr: WorkerAddr,
+        req: Request,
+        _deadline: std::time::Duration,
+    ) -> Result<Response, TransportError> {
+        self.call(addr, req)
+    }
+
+    fn cast(&self, addr: WorkerAddr, req: Request) {
+        let _ = self.call(addr, req);
+    }
+
     fn call(&self, addr: WorkerAddr, req: Request) -> Result<Response, TransportError> {
         self.calls.lock().push((addr, req));
         self.script

@@ -287,6 +287,23 @@ pub trait Engine: Send + fmt::Debug {
     /// whose budget is externally governed ignore the call.
     fn set_capacity_bytes(&mut self, _bytes: usize) {}
 
+    /// Hands one chunk of memory back to the pool this engine shares
+    /// with its neighbours, so another engine on the same pool can
+    /// allocate. A fully free chunk goes first; with `evict` set the
+    /// engine evicts from its LRU tail until one frees up. Returns
+    /// whether a chunk went back. Engines with private memory have
+    /// nothing to give.
+    fn release_chunk(&mut self, _evict: bool) -> bool {
+        false
+    }
+
+    /// Whether storing a value of `value_len` bytes would allocate
+    /// fresh memory for the engine's value storage (a new slab chunk,
+    /// say) instead of reusing memory it already holds.
+    fn needs_fresh_memory(&self, _value_len: usize) -> bool {
+        false
+    }
+
     // --- multi-tenant surface (implemented by tenant multiplexers) ---
 
     /// Per-tenant occupancy/budget breakdown. Non-empty only for engines

@@ -116,6 +116,21 @@ impl<S: ValueStore + Send + fmt::Debug> Engine for SlabLru<S> {
         self.store.set_capacity(bytes);
     }
 
+    fn needs_fresh_memory(&self, value_len: usize) -> bool {
+        self.store.needs_fresh_memory(value_len)
+    }
+
+    fn release_chunk(&mut self, evict: bool) -> bool {
+        loop {
+            if self.store.release_idle_chunk() {
+                return true;
+            }
+            if !evict || !self.table.evict_one(&mut self.store) {
+                return false;
+            }
+        }
+    }
+
     fn stats(&self) -> EngineStats {
         let t = self.table.stats();
         EngineStats {
@@ -174,6 +189,30 @@ mod tests {
         assert_eq!(st.expirations, 1);
         assert_eq!(st.expired_bytes, 3);
         assert_eq!(st.value_bytes, 0);
+    }
+
+    #[test]
+    fn release_chunk_evicts_only_when_asked() {
+        use crate::mem::{GlobalPool, LocalPool, MemConfig, MemPolicy};
+        use crate::store::SlabStore;
+        use std::sync::Arc;
+        let global = Arc::new(GlobalPool::new(1 << 14, 1 << 12, 1));
+        let mut cfg = MemConfig::with_capacity(1 << 14);
+        cfg.chunk_size = 1 << 12;
+        let pool = LocalPool::new(Arc::clone(&global), &cfg, 0, MemPolicy::ThreadLocal);
+        let mut e = SlabLru::new(SlabStore::new(pool));
+        let mut i = 0u32;
+        while global.free_bytes() > 0 {
+            e.set(format!("k{i}").as_bytes(), &[0u8; 1000], 0, 0)
+                .expect("fits");
+            i += 1;
+        }
+        let live = e.len();
+        assert!(!e.release_chunk(false), "every chunk holds a live entry");
+        assert!(e.release_chunk(true));
+        assert_eq!(global.free_bytes(), 1 << 12);
+        assert!(e.len() < live, "the chunk was freed by eviction");
+        assert_eq!(e.stats().evictions, (live - e.len()) as u64);
     }
 
     #[test]

@@ -114,6 +114,13 @@ impl GlobalPool {
         None
     }
 
+    /// Whether the next [`GlobalPool::acquire`] would allocate a fresh
+    /// chunk: nothing is cached and the budget has room.
+    pub(crate) fn would_allocate(&self) -> bool {
+        let g = self.inner.lock();
+        g.free.is_empty() && g.in_use + g.cached_free + self.chunk_size <= self.capacity
+    }
+
     /// Returns a fully-free chunk from a local pool.
     pub(crate) fn release(&self, chunk: RawChunk) {
         let mut g = self.inner.lock();

@@ -161,6 +161,18 @@ impl LocalPool {
         }
     }
 
+    /// Whether allocating `len` bytes would take a freshly allocated
+    /// chunk: no slot of its size class is free here and the global
+    /// pool would allocate rather than hand out a cached chunk. (With
+    /// the budget spent, the caller evicts instead; that allocates
+    /// nothing.)
+    pub fn needs_fresh_chunk(&self, len: usize) -> bool {
+        let Some(class) = self.classes.class_for(len.max(1)) else {
+            return false;
+        };
+        self.class_state[class as usize].partial.is_empty() && self.global.would_allocate()
+    }
+
     fn admit_chunk(&mut self, raw: RawChunk, class: u8) {
         let slot_size = self.classes.slot_size(class);
         let nslots = self.classes.slots_per_chunk(class) as u32;
@@ -257,6 +269,23 @@ impl LocalPool {
         }
     }
 
+    /// Returns one fully free chunk to the global pool regardless of the
+    /// watermarks, so a neighbour starved by an exhausted global pool can
+    /// refill. `false` when every held chunk has a live slot.
+    pub fn release_idle_chunk(&mut self) -> bool {
+        let idle = self
+            .chunks
+            .iter()
+            .position(|c| c.as_ref().is_some_and(|c| c.used == 0));
+        match idle {
+            Some(cslot) => {
+                self.return_chunk(cslot as u32, self.global.chunk_size());
+                true
+            }
+            None => false,
+        }
+    }
+
     fn return_chunk(&mut self, cslot: u32, chunk_size: usize) {
         let chunk = self.chunks[cslot as usize]
             .take()
@@ -293,6 +322,20 @@ impl LocalPool {
     /// Bytes held by this pool in chunks (free + used).
     pub fn held_bytes(&self) -> usize {
         self.held_bytes
+    }
+}
+
+impl Drop for LocalPool {
+    /// Hands every chunk back to the global pool, so the memory of a
+    /// dropped cachelet (migrated away, say) stays in the server's
+    /// budget instead of being charged to it forever.
+    fn drop(&mut self) {
+        for chunk in self.chunks.drain(..).flatten() {
+            self.global.release(RawChunk {
+                data: chunk.data,
+                numa: chunk.numa,
+            });
+        }
     }
 }
 
@@ -343,6 +386,40 @@ mod tests {
         // Free one and allocation works again.
         p.free(held.pop().expect("held one"));
         assert!(p.alloc(64).is_some());
+    }
+
+    #[test]
+    fn idle_chunks_go_back_below_the_watermarks() {
+        let global = Arc::new(GlobalPool::new(1 << 13, 1 << 12, 1));
+        let mut cfg = MemConfig::with_capacity(1 << 13);
+        cfg.chunk_size = 1 << 12;
+        let mut p = LocalPool::new(Arc::clone(&global), &cfg, 0, MemPolicy::ThreadLocal);
+        let a = p.alloc(1000).expect("first chunk");
+        let b = p.alloc(3000).expect("second chunk, another class");
+        assert_eq!(global.free_bytes(), 0);
+        assert!(!p.release_idle_chunk(), "both chunks hold a live slot");
+        // Far below the local high watermark, so `free` keeps the chunk.
+        p.free(a);
+        assert_eq!(global.free_bytes(), 0);
+        assert!(p.release_idle_chunk());
+        assert_eq!(global.free_bytes(), 1 << 12);
+        assert_eq!(p.held_bytes(), 1 << 12);
+        assert!(!p.release_idle_chunk());
+        p.free(b);
+    }
+
+    #[test]
+    fn a_dropped_pool_returns_its_chunks() {
+        let global = Arc::new(GlobalPool::new(1 << 14, 1 << 12, 1));
+        let mut cfg = MemConfig::with_capacity(1 << 14);
+        cfg.chunk_size = 1 << 12;
+        let mut p = LocalPool::new(Arc::clone(&global), &cfg, 0, MemPolicy::ThreadLocal);
+        let _a = p.alloc(1000).expect("first chunk");
+        let _b = p.alloc(3000).expect("second chunk");
+        assert_eq!(global.free_bytes(), 2 << 12);
+        drop(p);
+        assert_eq!(global.free_bytes(), 4 << 12);
+        assert_eq!(global.stats().in_use, 0);
     }
 
     #[test]

@@ -65,6 +65,18 @@ pub trait ValueStore {
     /// Shrinking below current usage is allowed — the engine above
     /// converges by evicting on subsequent allocation failures.
     fn set_capacity(&mut self, _bytes: usize) {}
+
+    /// Returns one fully free chunk to the shared pool the store draws
+    /// from; `false` when it holds none, or has no shared pool.
+    fn release_idle_chunk(&mut self) -> bool {
+        false
+    }
+
+    /// Whether storing `len` bytes would allocate fresh memory for the
+    /// store rather than reuse memory it or its pool already holds.
+    fn needs_fresh_memory(&self, _len: usize) -> bool {
+        false
+    }
 }
 
 /// The production backend: MBal's hierarchical slab pool.
@@ -104,6 +116,14 @@ impl ValueStore for SlabStore {
 
     fn used_bytes(&self) -> usize {
         self.used
+    }
+
+    fn release_idle_chunk(&mut self) -> bool {
+        self.pool.release_idle_chunk()
+    }
+
+    fn needs_fresh_memory(&self, len: usize) -> bool {
+        self.pool.needs_fresh_chunk(len)
     }
 }
 

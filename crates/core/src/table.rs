@@ -257,10 +257,10 @@ impl HashTable {
     /// entry (`get`, `contains`, `touch`, `set`, `delete`, `concat`,
     /// `incr`, `purge_expired`) reclaims through here, so no path leaks
     /// value bytes or undercounts `expirations`.
-    fn expire_entry<S: ValueStore>(&mut self, idx: u32, store: &mut S) {
+    fn expire_entry<S: ValueStore>(&mut self, idx: u32, store: &mut S) -> Box<[u8]> {
         self.expired_bytes += self.entries[idx as usize].val.len() as u64;
-        self.remove_entry(idx, store);
         self.expirations += 1;
+        self.remove_entry(idx, store)
     }
 
     /// Looks up `key`, refreshing its LRU position.
@@ -331,18 +331,21 @@ impl HashTable {
             return Err(CacheError::ValueTooLong(value.len()));
         }
         let hash = bucket_hash(key);
+        // The replaced entry's key allocation is reused: an overwrite
+        // allocates nothing long-lived on the calling thread.
+        let mut old_key = None;
         let existed = if let Some(idx) = self.find(key, hash) {
             if self.is_expired(idx, now_ms) {
                 // An expired entry counts as absent: reclaim it and
                 // report the set as an insert, so the outcome depends
                 // only on live state (engines that physically remove
                 // expired entries at different times must still agree).
-                self.expire_entry(idx, store);
+                old_key = Some(self.expire_entry(idx, store));
                 false
             } else {
                 // Replace: free the old value first so in-place updates
                 // of the same size recycle their own slot.
-                self.remove_entry(idx, store);
+                old_key = Some(self.remove_entry(idx, store));
                 true
             }
         } else {
@@ -361,7 +364,7 @@ impl HashTable {
             }
         };
 
-        self.insert_fresh(key, hash, val, expiry_ms);
+        self.insert_fresh(old_key.unwrap_or_else(|| key.into()), hash, val, expiry_ms);
         Ok(if existed {
             SetOutcome::Updated
         } else {
@@ -369,14 +372,15 @@ impl HashTable {
         })
     }
 
-    fn insert_fresh(&mut self, key: &[u8], hash: u64, val: ValRef, expiry_ms: u64) {
+    fn insert_fresh(&mut self, key: Box<[u8]>, hash: u64, val: ValRef, expiry_ms: u64) {
         if !self.frozen && self.len + 1 > self.buckets.len() * 3 / 4 {
             self.rehash(self.buckets.len() * 2);
         }
+        self.key_bytes += key.len();
         let idx = match self.free_entries.pop() {
             Some(i) => {
                 let e = &mut self.entries[i as usize];
-                e.key = key.into();
+                e.key = key;
                 e.hash = hash;
                 e.val = val;
                 e.expiry_ms = expiry_ms;
@@ -384,7 +388,7 @@ impl HashTable {
             }
             None => {
                 self.entries.push(Entry {
-                    key: key.into(),
+                    key,
                     hash,
                     val,
                     next: NIL,
@@ -399,7 +403,6 @@ impl HashTable {
         self.entries[idx as usize].next = self.buckets[b];
         self.buckets[b] = idx;
         self.lru_push_front(idx);
-        self.key_bytes += key.len();
         self.len += 1;
     }
 

@@ -76,7 +76,7 @@ pub struct WorkerAddr {
 
 impl WorkerAddr {
     /// Creates a worker address from raw server and worker indices.
-    pub fn new(server: u16, worker: u16) -> Self {
+    pub const fn new(server: u16, worker: u16) -> Self {
         Self {
             server: ServerId(server),
             worker: WorkerId(worker),

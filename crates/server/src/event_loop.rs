@@ -31,6 +31,7 @@
 //! *k*, completes after it, and its completion is drained after it.
 
 use crate::config::IoConfig;
+use crate::mailbox::Mailbox;
 use crate::messages::{RpcTag, WorkerMsg};
 use bytes::Bytes;
 use crossbeam_channel::Sender;
@@ -140,7 +141,7 @@ enum Verdict {
 /// can fall back to the threaded backend.
 pub(crate) fn run(
     listener: &TcpListener,
-    worker: Sender<WorkerMsg>,
+    worker: Mailbox<WorkerMsg>,
     cfg: IoConfig,
 ) -> std::io::Result<()> {
     let poller = Poller::new()?;
@@ -263,7 +264,7 @@ fn drain_waker(rx: &UnixStream) {
 fn on_readable(
     conn: &mut Conn,
     token: u64,
-    worker: &Sender<WorkerMsg>,
+    worker: &Mailbox<WorkerMsg>,
     done_tx: &Sender<(RpcTag, Vec<Response>)>,
     waker: &Arc<LoopWaker>,
     now: Instant,
@@ -315,7 +316,7 @@ fn dispatch(
     conn: &mut Conn,
     token: u64,
     frame: &[u8],
-    worker: &Sender<WorkerMsg>,
+    worker: &Mailbox<WorkerMsg>,
     done_tx: &Sender<(RpcTag, Vec<Response>)>,
     waker: &Arc<LoopWaker>,
 ) -> Verdict {

@@ -637,6 +637,7 @@ impl Transport for FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::serial_call_many;
     use mbal_core::types::CacheletId;
     use mbal_proto::Status;
 
@@ -644,6 +645,24 @@ mod tests {
     struct Echo;
 
     impl Transport for Echo {
+        fn call_with_deadline(
+            &self,
+            addr: WorkerAddr,
+            req: Request,
+            _deadline: Duration,
+        ) -> Result<Response, TransportError> {
+            self.call(addr, req)
+        }
+
+        fn call_many(
+            &self,
+            addr: WorkerAddr,
+            reqs: Vec<Request>,
+            deadline: Duration,
+        ) -> Vec<Result<Response, TransportError>> {
+            serial_call_many(self, addr, reqs, deadline)
+        }
+
         fn call(&self, _addr: WorkerAddr, req: Request) -> Result<Response, TransportError> {
             Ok(match req {
                 Request::Get { key, .. } => Response::Value {
@@ -792,6 +811,24 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         struct Counting(AtomicU64);
         impl Transport for Counting {
+            fn call_with_deadline(
+                &self,
+                addr: WorkerAddr,
+                req: Request,
+                _deadline: Duration,
+            ) -> Result<Response, TransportError> {
+                self.call(addr, req)
+            }
+
+            fn call_many(
+                &self,
+                addr: WorkerAddr,
+                reqs: Vec<Request>,
+                deadline: Duration,
+            ) -> Vec<Result<Response, TransportError>> {
+                serial_call_many(self, addr, reqs, deadline)
+            }
+
             fn call(&self, _addr: WorkerAddr, _req: Request) -> Result<Response, TransportError> {
                 self.0.fetch_add(1, Ordering::SeqCst);
                 Ok(Response::Stored)

@@ -7,13 +7,16 @@
 //! - [`mod@unit`] — [`unit::CacheUnit`]: a cachelet bundled with its own slab
 //!   store. Because the store travels with the cachelet, server-local
 //!   migration really is an ownership handoff between threads (a pointer
-//!   move through a channel), with zero data copying — the paper's
+//!   move through a mailbox), with zero data copying — the paper's
 //!   "near-zero cost" Phase 2 mechanism.
 //! - [`messages`] — the worker mailbox protocol: client RPCs plus the
 //!   control plane (epoch ticks, adopt/release, per-bucket migration).
-//! - [`worker`] — the worker event loop: lockless GET/SET/DELETE over
-//!   owned cachelets, the shadow-side replica table, hot-key sampling,
-//!   and the Write-Invalidate rules for in-flight migrations.
+//! - [`mailbox`] — the many-producer, one-consumer worker inbox.
+//! - [`worker`] — the worker event loop: GET/SET/DELETE over owned
+//!   cachelets, the shadow-side replica table, hot-key sampling, and
+//!   the Write-Invalidate rules for in-flight migrations; the
+//!   [`worker::WorkerCell`] that lets an idle worker serve an in-proc
+//!   call on the caller's thread.
 //! - [`transport`] — the [`transport::Transport`] abstraction — unary,
 //!   batched ([`transport::Transport::call_many`]) and deadline-aware —
 //!   with the in-process registry implementation used by tests,
@@ -41,6 +44,7 @@
 pub mod config;
 pub mod event_loop;
 pub mod fault;
+pub mod mailbox;
 pub mod messages;
 pub mod metrics_http;
 pub mod server;

@@ -1,9 +1,10 @@
 //! The worker mailbox protocol.
 //!
-//! Workers receive exactly two kinds of traffic: client RPCs (routed
-//! directly to the owning worker, §2.3) and control messages from the
-//! server's balance/migration machinery. Replies travel over bounded
-//! crossbeam channels.
+//! Workers receive exactly two kinds of traffic through their
+//! [`crate::mailbox::Mailbox`]: client RPCs (routed directly to the
+//! owning worker, §2.3) and control messages from the server's
+//! balance/migration machinery. Replies travel over bounded crossbeam
+//! channels.
 
 use crate::event_loop::LoopWaker;
 use crate::unit::CacheUnit;

@@ -18,11 +18,12 @@
 //! [`Server::start_balance_thread`] on real time.
 
 use crate::config::ServerConfig;
+use crate::mailbox::Mailbox;
 use crate::messages::{Control, EpochReport, MigrationBatch, WorkerMsg};
 use crate::transport::{InProcRegistry, Transport, TransportError, DEFAULT_DEADLINE};
 use crate::unit::CacheUnit;
-use crate::worker::{spawn_worker, WorkerContext};
-use crossbeam_channel::{bounded, unbounded, Sender};
+use crate::worker::{spawn_worker, WorkerCell, WorkerContext};
+use crossbeam_channel::bounded;
 use mbal_balancer::phase1::ReplicationAction;
 use mbal_balancer::plan::Migration;
 use mbal_balancer::replicated::CoordinatorService;
@@ -47,7 +48,7 @@ const MIGRATE_FLUSH_BATCH: usize = 8;
 /// A running MBal cache server.
 pub struct Server {
     cfg: ServerConfig,
-    workers: Vec<Sender<WorkerMsg>>,
+    workers: Vec<Arc<WorkerCell>>,
     handles: Vec<JoinHandle<()>>,
     transport: Arc<dyn Transport>,
     coordinator: Arc<dyn CoordinatorService>,
@@ -112,7 +113,6 @@ impl Server {
                 server: cfg.server,
                 worker: WorkerId(w),
             };
-            let (tx, rx) = unbounded();
             let numa = if cfg.mem.numa_aware {
                 (w as u8) % cfg.mem.numa_domains.max(1)
             } else {
@@ -125,7 +125,6 @@ impl Server {
             let factory_tenants = cfg.tenants.clone();
             let ctx = WorkerContext {
                 addr,
-                rx,
                 transport: Arc::clone(&transport),
                 clock: Arc::clone(&clock),
                 hotkey: cfg.hotkey.clone(),
@@ -146,9 +145,10 @@ impl Server {
                 }),
                 tenants: cfg.tenants.clone(),
             };
-            handles.push(spawn_worker(ctx));
-            registry.register(addr, tx.clone());
-            workers.push(tx);
+            let (cell, handle) = spawn_worker(ctx);
+            handles.push(handle);
+            registry.register(addr, Arc::clone(&cell));
+            workers.push(cell);
         }
 
         let driver = BalanceDriver::new(cfg.server, cfg.balancer.clone(), cfg.hotkey.hot_threshold);
@@ -195,11 +195,14 @@ impl Server {
                     &self.cfg.tenants,
                 ));
                 let (rtx, rrx) = bounded(1);
-                let _ = self.workers[w as usize].send(WorkerMsg::Control(Control::Adopt {
-                    unit,
-                    lease: None,
-                    reply: rtx,
-                }));
+                self.control(
+                    WorkerId(w),
+                    Control::Adopt {
+                        unit,
+                        lease: None,
+                        reply: rtx,
+                    },
+                );
                 let _ = rrx.recv();
             }
         }
@@ -222,10 +225,10 @@ impl Server {
 
     /// Worker mailboxes paired with their addresses, for wiring a TCP
     /// front end via [`crate::tcp::serve_tcp`].
-    pub fn worker_mailboxes(&self) -> Vec<(WorkerAddr, Sender<WorkerMsg>)> {
+    pub fn worker_mailboxes(&self) -> Vec<(WorkerAddr, Mailbox<WorkerMsg>)> {
         self.worker_addrs()
             .into_iter()
-            .zip(self.workers.iter().cloned())
+            .zip(self.workers.iter().map(|c| c.mailbox().clone()))
             .collect()
     }
 
@@ -242,13 +245,23 @@ impl Server {
     /// Sends a control message to worker `w` and waits for completion
     /// where the message carries a reply channel.
     fn control(&self, w: WorkerId, msg: Control) {
-        let _ = self.workers[w.0 as usize].send(WorkerMsg::Control(msg));
+        let _ = self.workers[w.0 as usize]
+            .mailbox()
+            .send(WorkerMsg::Control(msg));
+    }
+
+    /// Sends a control message built by `msg` to every worker.
+    fn broadcast(&self, msg: impl Fn() -> Control) {
+        for cell in &self.workers {
+            let _ = cell.mailbox().send(WorkerMsg::Control(msg()));
+        }
     }
 
     /// Direct RPC to one of this server's workers (bypasses transport).
     pub fn local_call(&self, w: WorkerId, req: Request) -> Option<Response> {
         let (rtx, rrx) = bounded(1);
         self.workers[w.0 as usize]
+            .mailbox()
             .send(WorkerMsg::Rpc { req, reply: rtx })
             .ok()?;
         rrx.recv().ok()
@@ -257,9 +270,9 @@ impl Server {
     /// Collects end-of-epoch reports from every worker.
     fn collect_reports(&self, epoch_secs: f64) -> Vec<EpochReport> {
         let mut pending = Vec::new();
-        for tx in &self.workers {
+        for cell in &self.workers {
             let (rtx, rrx) = bounded(1);
-            let _ = tx.send(WorkerMsg::Control(Control::EpochEnd {
+            let _ = cell.mailbox().send(WorkerMsg::Control(Control::EpochEnd {
                 epoch_secs,
                 reply: rtx,
             }));
@@ -326,11 +339,7 @@ impl Server {
             .driver
             .epoch(now_ms, &loads, &hot_keys, &self.cluster_workers);
 
-        for tx in &self.workers {
-            let _ = tx.send(WorkerMsg::Control(Control::SetSamplingBackoff(
-                actions.sampling_backoff,
-            )));
-        }
+        self.broadcast(|| Control::SetSamplingBackoff(actions.sampling_backoff));
         if !actions.tenant_budgets.is_empty() {
             // The arbiter reallocates server-wide totals; each unit gets
             // an equal share, matching how quotas scale per unit.
@@ -340,11 +349,7 @@ impl Server {
                 .iter()
                 .map(|&(t, b)| (t, b / total_units.max(1) as u64))
                 .collect();
-            for tx in &self.workers {
-                let _ = tx.send(WorkerMsg::Control(Control::SetTenantBudgets(
-                    per_unit.clone(),
-                )));
-            }
+            self.broadcast(|| Control::SetTenantBudgets(per_unit.clone()));
         }
         for (wid, acts) in &actions.replication {
             self.execute_replication(*wid, acts, now_ms);
@@ -391,8 +396,10 @@ impl Server {
         // Execute the join/drain transfers queued for this server. A
         // failed transfer rolls back at the coordinator like any Phase-3
         // migration, so the mapping never lies about where data is.
-        for m in self.coordinator.pending_moves_for(self.cfg.server) {
-            self.migrate_out(&m);
+        let moves = self.coordinator.pending_moves_for(self.cfg.server);
+        self.announce_transfers(&moves);
+        for m in &moves {
+            self.migrate_out(m);
         }
 
         // On any epoch change the mapping may home cachelets here that
@@ -416,16 +423,10 @@ impl Server {
         let draining = view.state_of(self.cfg.server) == Some(NodeState::Draining);
         if draining != self.draining {
             self.draining = draining;
-            for tx in &self.workers {
-                let _ = tx.send(WorkerMsg::Control(Control::SetDrain(draining)));
-            }
+            self.broadcast(|| Control::SetDrain(draining));
         }
         let payload = serde_json::to_vec(&view).unwrap_or_default();
-        for tx in &self.workers {
-            let _ = tx.send(WorkerMsg::Control(Control::SetMembershipView(
-                payload.clone(),
-            )));
-        }
+        self.broadcast(|| Control::SetMembershipView(payload.clone()));
         // Cluster-level gauges ride on worker 0's shard only: snapshots
         // sum gauges across shards, so exactly one shard may carry them.
         let shard = self.metrics.shard(0);
@@ -671,10 +672,34 @@ impl Server {
         let Some(plan) = self.coordinator.request_migration(src) else {
             return; // cluster hot: scale out is beyond this server
         };
+        let plan: Vec<Migration> = plan
+            .into_iter()
+            .filter(|m| m.from.server == self.cfg.server)
+            .collect();
+        self.announce_transfers(&plan);
+        for m in &plan {
+            self.migrate_out(m);
+        }
+    }
+
+    /// Points each destination back at its source before any transfer
+    /// runs. The coordinator moves the whole plan in the mapping at
+    /// once, but transfers run one after another, so clients reach a
+    /// destination well before its data does. `MigrateAbort` is the
+    /// message that points a destination at `home` (it also ends a
+    /// failed transfer); sent first, it makes the destination answer
+    /// `Moved` to the source for the cachelet, and misses in the unit
+    /// the transfer builds there, until the commit.
+    fn announce_transfers(&self, plan: &[Migration]) {
         for m in plan {
-            if m.from.server == self.cfg.server {
-                self.migrate_out(&m);
-            }
+            let _ = self.transport.call_with_deadline(
+                m.to,
+                Request::MigrateAbort {
+                    cachelet: m.cachelet,
+                    home: m.from,
+                },
+                DEFAULT_DEADLINE,
+            );
         }
     }
 
@@ -869,9 +894,7 @@ impl Server {
     /// Stops workers and joins their threads. Idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        for tx in &self.workers {
-            let _ = tx.send(WorkerMsg::Control(Control::Shutdown));
-        }
+        self.broadcast(|| Control::Shutdown);
         for h in self.handles.drain(..) {
             let _ = h.join();
         }

@@ -17,6 +17,7 @@
 
 use crate::config::{IoBackend, IoConfig};
 use crate::event_loop;
+use crate::mailbox::Mailbox;
 use crate::messages::WorkerMsg;
 use crate::transport::{batch_errs, Transport, TransportError, DEFAULT_DEADLINE};
 use crossbeam_channel::{bounded, Receiver, Sender};
@@ -100,7 +101,7 @@ fn send_protocol_error(stream: &mut TcpStream, message: &str) {
 /// a single write. Returns `false` when the connection or worker is gone.
 fn serve_batch(
     stream: &mut TcpStream,
-    worker: &Sender<WorkerMsg>,
+    worker: &Mailbox<WorkerMsg>,
     subs: Vec<(Request, u32)>,
 ) -> bool {
     let mut opcodes = Vec::with_capacity(subs.len());
@@ -132,7 +133,7 @@ fn serve_batch(
 }
 
 /// Serves one accepted connection against a worker mailbox.
-fn serve_connection(mut stream: TcpStream, worker: Sender<WorkerMsg>) {
+fn serve_connection(mut stream: TcpStream, worker: Mailbox<WorkerMsg>) {
     stream.set_nodelay(true).ok();
     loop {
         let frame = match read_frame(&mut stream) {
@@ -190,7 +191,7 @@ fn serve_connection(mut stream: TcpStream, worker: Sender<WorkerMsg>) {
 /// environment-overridable). Serving threads run until the process
 /// exits.
 pub fn serve_tcp(
-    workers: &[(WorkerAddr, Sender<WorkerMsg>)],
+    workers: &[(WorkerAddr, Mailbox<WorkerMsg>)],
     host: &str,
     base_port: u16,
 ) -> std::io::Result<Vec<(WorkerAddr, SocketAddr)>> {
@@ -207,7 +208,7 @@ pub fn serve_tcp(
 /// unavailable) each accepted connection gets a blocking framing
 /// thread, as before.
 pub fn serve_tcp_with(
-    workers: &[(WorkerAddr, Sender<WorkerMsg>)],
+    workers: &[(WorkerAddr, Mailbox<WorkerMsg>)],
     host: &str,
     base_port: u16,
     io: IoConfig,
@@ -260,7 +261,7 @@ pub fn serve_tcp_with(
 
 /// The legacy backend: a blocking framing thread per accepted
 /// connection.
-fn serve_threaded(listener: TcpListener, tx: Sender<WorkerMsg>) {
+fn serve_threaded(listener: TcpListener, tx: Mailbox<WorkerMsg>) {
     for conn in listener.incoming().flatten() {
         let tx = tx.clone();
         std::thread::spawn(move || serve_connection(conn, tx));
@@ -665,9 +666,10 @@ mod tests {
 
     /// A loopback worker that stores into a HashMap (protocol-level test
     /// without the full server). Handles both single RPCs and batches.
-    fn spawn_map_worker() -> Sender<WorkerMsg> {
+    fn spawn_map_worker() -> Mailbox<WorkerMsg> {
         use mbal_core::types::Value;
-        let (tx, rx) = crossbeam_channel::unbounded::<WorkerMsg>();
+        let tx = Mailbox::new();
+        let rx = tx.clone();
         std::thread::spawn(move || {
             let mut map: HashMap<Vec<u8>, Value> = HashMap::new();
             let answer = |req: Request, map: &mut HashMap<Vec<u8>, Value>| match req {
@@ -691,7 +693,7 @@ mod tests {
                     message: "unsupported".into(),
                 },
             };
-            while let Ok(msg) = rx.recv() {
+            while let Some(msg) = rx.recv() {
                 match msg {
                     WorkerMsg::Rpc { req, reply } => {
                         let _ = reply.send(answer(req, &mut map));

@@ -2,12 +2,14 @@
 //!
 //! Everything that talks to a worker — clients, home workers propagating
 //! replica updates, migrating sources — goes through [`Transport`]. The
-//! in-process implementation ([`InProcRegistry`]) routes over crossbeam
-//! channels and backs tests, benchmarks and the cluster simulator; the
+//! in-process implementation ([`InProcRegistry`]) serves a call on the
+//! caller's thread when the worker is idle and through its mailbox
+//! otherwise; it backs tests, benchmarks and the cluster simulator. The
 //! TCP implementation lives in [`crate::tcp`].
 
 use crate::messages::WorkerMsg;
-use crossbeam_channel::{bounded, Sender};
+use crate::worker::WorkerCell;
+use crossbeam_channel::{bounded, RecvTimeoutError};
 use mbal_core::types::WorkerAddr;
 use mbal_proto::{Request, Response};
 use parking_lot::RwLock;
@@ -46,63 +48,66 @@ pub(crate) fn batch_errs(n: usize, e: TransportError) -> Vec<Result<Response, Tr
     (0..n).map(|_| Err(e.clone())).collect()
 }
 
+/// Serves a batch one [`Transport::call_with_deadline`] at a time: the
+/// `call_many` of a transport with no pipeline of its own (a test
+/// double, an adapter), which must opt into it by name.
+pub fn serial_call_many<T: Transport + ?Sized>(
+    transport: &T,
+    addr: WorkerAddr,
+    reqs: Vec<Request>,
+    deadline: Duration,
+) -> Vec<Result<Response, TransportError>> {
+    reqs.into_iter()
+        .map(|r| transport.call_with_deadline(addr, r, deadline))
+        .collect()
+}
+
 /// A synchronous request/response transport addressed by worker.
+///
+/// Every method is required: a transport that cannot honour a deadline,
+/// batch a pipeline or send without waiting must say how it degrades,
+/// not inherit a silent fallback.
 pub trait Transport: Send + Sync {
     /// Sends `req` to `addr` and waits for the response under the
     /// implementation's default deadline.
     fn call(&self, addr: WorkerAddr, req: Request) -> Result<Response, TransportError>;
 
     /// Like [`Transport::call`], but gives up once `deadline` has
-    /// elapsed, returning [`TransportError::Timeout`]. The default
-    /// implementation ignores the deadline and delegates to `call`.
+    /// elapsed, returning [`TransportError::Timeout`].
     fn call_with_deadline(
         &self,
         addr: WorkerAddr,
         req: Request,
         deadline: Duration,
-    ) -> Result<Response, TransportError> {
-        let _ = deadline;
-        self.call(addr, req)
-    }
+    ) -> Result<Response, TransportError>;
 
     /// Pipelined batch: sends every request to `addr` and returns one
     /// result per request, in order. Implementations coalesce the batch —
     /// one frame flush over TCP, one mailbox enqueue in-process — so a
-    /// batch costs one round-trip instead of `reqs.len()`. The default
-    /// implementation is an unbatched serial loop kept only so foreign
-    /// `Transport` impls (mocks, adapters) stay source-compatible.
+    /// batch costs one round-trip instead of `reqs.len()`.
     fn call_many(
         &self,
         addr: WorkerAddr,
         reqs: Vec<Request>,
         deadline: Duration,
-    ) -> Vec<Result<Response, TransportError>> {
-        reqs.into_iter()
-            .map(|r| self.call_with_deadline(addr, r, deadline))
-            .collect()
-    }
+    ) -> Vec<Result<Response, TransportError>>;
 
-    /// Fire-and-forget send (asynchronous replica propagation, §3.2).
-    ///
-    /// **Warning:** the default implementation degrades to a synchronous
-    /// `call` that discards the response — it blocks the caller for a
-    /// full round-trip. Every real implementation must override it with a
-    /// genuinely non-blocking send: [`InProcRegistry`] enqueues without
-    /// waiting, and the TCP transport hands the frame to a background
-    /// cast pump. The default exists only so minimal test doubles
-    /// compile.
-    fn cast(&self, addr: WorkerAddr, req: Request) {
-        let _ = self.call(addr, req);
-    }
+    /// Fire-and-forget send (asynchronous replica propagation, §3.2):
+    /// returns without waiting for the worker. [`InProcRegistry`]
+    /// enqueues into the mailbox, and the TCP transport hands the frame
+    /// to a background cast pump.
+    fn cast(&self, addr: WorkerAddr, req: Request);
 }
 
-/// In-process transport: a registry of worker mailboxes.
+/// In-process transport: a registry of worker cells.
 ///
-/// All servers of an in-process "cluster" register their workers here;
-/// calls enqueue directly into the worker's channel.
+/// All servers of an in-process "cluster" register their workers here.
+/// A call is served on the caller's thread when the worker is idle
+/// ([`WorkerCell::try_serve`]) and through the worker's mailbox
+/// otherwise; casts always go through the mailbox.
 #[derive(Default)]
 pub struct InProcRegistry {
-    routes: RwLock<HashMap<WorkerAddr, Sender<WorkerMsg>>>,
+    routes: RwLock<HashMap<WorkerAddr, Arc<WorkerCell>>>,
     timeout: Duration,
 }
 
@@ -111,13 +116,13 @@ impl InProcRegistry {
     pub fn new() -> Arc<Self> {
         Arc::new(Self {
             routes: RwLock::new(HashMap::new()),
-            timeout: Duration::from_secs(5),
+            timeout: DEFAULT_DEADLINE,
         })
     }
 
-    /// Registers (or replaces) a worker mailbox.
-    pub fn register(&self, addr: WorkerAddr, tx: Sender<WorkerMsg>) {
-        self.routes.write().insert(addr, tx);
+    /// Registers (or replaces) a worker.
+    pub fn register(&self, addr: WorkerAddr, cell: Arc<WorkerCell>) {
+        self.routes.write().insert(addr, cell);
     }
 
     /// Removes a worker (server shutdown).
@@ -135,12 +140,22 @@ impl InProcRegistry {
         self.routes.read().is_empty()
     }
 
-    fn route(&self, addr: WorkerAddr) -> Result<Sender<WorkerMsg>, TransportError> {
-        self.routes
-            .read()
-            .get(&addr)
-            .cloned()
-            .ok_or(TransportError::Unreachable(addr))
+    /// The cell registered for `addr`, if any.
+    pub fn cell(&self, addr: WorkerAddr) -> Option<Arc<WorkerCell>> {
+        self.routes.read().get(&addr).cloned()
+    }
+
+    fn route(&self, addr: WorkerAddr) -> Result<Arc<WorkerCell>, TransportError> {
+        self.cell(addr).ok_or(TransportError::Unreachable(addr))
+    }
+}
+
+/// Maps a failed reply wait: a reply channel dropped unanswered means
+/// the worker shut down with the message still queued.
+fn reply_error(addr: WorkerAddr, e: RecvTimeoutError) -> TransportError {
+    match e {
+        RecvTimeoutError::Timeout => TransportError::Timeout(addr),
+        RecvTimeoutError::Disconnected => TransportError::Unreachable(addr),
     }
 }
 
@@ -155,16 +170,21 @@ impl Transport for InProcRegistry {
         req: Request,
         deadline: Duration,
     ) -> Result<Response, TransportError> {
-        let tx = self.route(addr)?;
+        let cell = self.route(addr)?;
+        let req = match cell.try_serve(req) {
+            Ok(resp) => return Ok(resp),
+            Err(req) => req,
+        };
         let (rtx, rrx) = bounded(1);
-        tx.send(WorkerMsg::Rpc { req, reply: rtx })
+        cell.mailbox()
+            .send(WorkerMsg::Rpc { req, reply: rtx })
             .map_err(|_| TransportError::Unreachable(addr))?;
-        rrx.recv_timeout(deadline)
-            .map_err(|_| TransportError::Timeout(addr))
+        rrx.recv_timeout(deadline).map_err(|e| reply_error(addr, e))
     }
 
-    /// One mailbox enqueue for the whole batch: the worker drains all of
-    /// `reqs` before replying, so a batch pays a single channel
+    /// Served whole on the caller's thread when the worker is idle,
+    /// otherwise one mailbox enqueue for the whole batch: the worker
+    /// drains all of `reqs` before replying, so a batch pays a single
     /// round-trip regardless of its size.
     fn call_many(
         &self,
@@ -176,30 +196,39 @@ impl Transport for InProcRegistry {
         if n == 0 {
             return Vec::new();
         }
-        let tx = match self.route(addr) {
-            Ok(tx) => tx,
+        let cell = match self.route(addr) {
+            Ok(cell) => cell,
             Err(e) => return batch_errs(n, e),
         };
-        let (rtx, rrx) = bounded(1);
-        if tx.send(WorkerMsg::RpcBatch { reqs, reply: rtx }).is_err() {
-            return batch_errs(n, TransportError::Unreachable(addr));
-        }
-        match rrx.recv_timeout(deadline) {
-            Ok(resps) if resps.len() == n => resps.into_iter().map(Ok).collect(),
-            Ok(mut resps) => {
-                // A well-behaved worker answers 1:1; pad defensively.
-                resps.truncate(n);
-                let mut out: Vec<Result<Response, TransportError>> =
-                    resps.into_iter().map(Ok).collect();
-                while out.len() < n {
-                    out.push(Err(TransportError::Broken(
-                        "batch reply shorter than the batch".into(),
-                    )));
+        let resps = match cell.try_serve_batch(reqs) {
+            Ok(resps) => resps,
+            Err(reqs) => {
+                let (rtx, rrx) = bounded(1);
+                if cell
+                    .mailbox()
+                    .send(WorkerMsg::RpcBatch { reqs, reply: rtx })
+                    .is_err()
+                {
+                    return batch_errs(n, TransportError::Unreachable(addr));
                 }
-                out
+                match rrx.recv_timeout(deadline) {
+                    Ok(resps) => resps,
+                    Err(e) => return batch_errs(n, reply_error(addr, e)),
+                }
             }
-            Err(_) => batch_errs(n, TransportError::Timeout(addr)),
+        };
+        if resps.len() == n {
+            return resps.into_iter().map(Ok).collect();
         }
+        // A well-behaved worker answers 1:1; pad defensively.
+        let mut out: Vec<Result<Response, TransportError>> =
+            resps.into_iter().take(n).map(Ok).collect();
+        while out.len() < n {
+            out.push(Err(TransportError::Broken(
+                "batch reply shorter than the batch".into(),
+            )));
+        }
+        out
     }
 
     /// Genuinely asynchronous: enqueue and return without waiting. The
@@ -207,13 +236,9 @@ impl Transport for InProcRegistry {
     /// asynchronous replica propagation (§3.2) non-blocking for the home
     /// worker.
     fn cast(&self, addr: WorkerAddr, req: Request) {
-        let tx = {
-            let routes = self.routes.read();
-            routes.get(&addr).cloned()
-        };
-        if let Some(tx) = tx {
+        if let Some(cell) = self.cell(addr) {
             let (rtx, _rrx) = bounded(1);
-            let _ = tx.send(WorkerMsg::Rpc { req, reply: rtx });
+            let _ = cell.mailbox().send(WorkerMsg::Rpc { req, reply: rtx });
         }
     }
 }
@@ -221,15 +246,23 @@ impl Transport for InProcRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mailbox::Mailbox;
     use mbal_proto::Status;
+
+    /// Registers a worker-less cell for `addr`: its mailbox is served by
+    /// the test itself.
+    fn register_mailbox(reg: &InProcRegistry, addr: WorkerAddr) -> Mailbox<WorkerMsg> {
+        let mailbox = Mailbox::new();
+        reg.register(addr, WorkerCell::detached(mailbox.clone()));
+        mailbox
+    }
 
     /// A trivial echo worker loop for transport tests.
     fn spawn_echo(reg: &InProcRegistry, addr: WorkerAddr) -> std::thread::JoinHandle<()> {
-        let (tx, rx) = crossbeam_channel::unbounded();
-        reg.register(addr, tx);
+        let rx = register_mailbox(reg, addr);
         std::thread::spawn(move || {
             // One-shot: answer the first RPC and exit.
-            if let Ok(WorkerMsg::Rpc { req, reply }) = rx.recv() {
+            if let Some(WorkerMsg::Rpc { req, reply }) = rx.recv() {
                 let resp = match req {
                     Request::Get { key, .. } => Response::Value {
                         value: key.into(),
@@ -274,10 +307,9 @@ mod tests {
     /// A batch-aware one-shot worker: answers a single `RpcBatch` with
     /// one echo response per request, then exits.
     fn spawn_batch_echo(reg: &InProcRegistry, addr: WorkerAddr) -> std::thread::JoinHandle<()> {
-        let (tx, rx) = crossbeam_channel::unbounded();
-        reg.register(addr, tx);
+        let rx = register_mailbox(reg, addr);
         std::thread::spawn(move || {
-            if let Ok(WorkerMsg::RpcBatch { reqs, reply }) = rx.recv() {
+            if let Some(WorkerMsg::RpcBatch { reqs, reply }) = rx.recv() {
                 let resps = reqs
                     .into_iter()
                     .map(|req| match req {
@@ -334,8 +366,7 @@ mod tests {
     #[test]
     fn call_many_times_out_as_a_unit() {
         let reg = InProcRegistry::new();
-        let (tx, _rx) = crossbeam_channel::unbounded();
-        reg.register(WorkerAddr::new(0, 2), tx);
+        let _mailbox = register_mailbox(&reg, WorkerAddr::new(0, 2));
         let reqs: Vec<Request> = (0..2).map(|_| Request::Stats { reset: false }).collect();
         let out = reg.call_many(WorkerAddr::new(0, 2), reqs, Duration::from_millis(20));
         assert_eq!(out.len(), 2);
@@ -356,8 +387,7 @@ mod tests {
     #[test]
     fn deregister_breaks_routing() {
         let reg = InProcRegistry::new();
-        let (tx, _rx) = crossbeam_channel::unbounded();
-        reg.register(WorkerAddr::new(0, 1), tx);
+        let _mailbox = register_mailbox(&reg, WorkerAddr::new(0, 1));
         assert_eq!(reg.len(), 1);
         reg.deregister(WorkerAddr::new(0, 1));
         assert!(reg.is_empty());

@@ -16,6 +16,7 @@ use mbal_core::store::SlabStore;
 use mbal_core::table::SetOutcome;
 use mbal_core::types::{CacheError, CacheletId, TenantId, Value, WorkerAddr};
 use mbal_tenant::{EngineFactory, TenantDirectory, TenantEngine};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Migration progress attached to a unit that is being transferred to
@@ -39,6 +40,9 @@ pub type DrainedBucket = Vec<(Box<[u8]>, Vec<u8>, u64)>;
 pub struct CacheUnit {
     meta: Cachelet,
     migration: Option<MigrationProgress>,
+    /// Keys handed over in the current transfer: drained from this unit
+    /// (migrating out) or received into it (migrating in).
+    transferred: HashSet<Box<[u8]>>,
     /// Engine counters already reported via [`CacheUnit::take_stats_delta`].
     stats_base: EngineStats,
 }
@@ -76,6 +80,7 @@ impl CacheUnit {
         Self {
             meta: Cachelet::with_engine(id, engine),
             migration: None,
+            transferred: HashSet::new(),
             stats_base: EngineStats::default(),
         }
     }
@@ -122,6 +127,7 @@ impl CacheUnit {
         Self {
             meta: Cachelet::with_engine(id, Box::new(TenantEngine::new(tenants.clone(), factory))),
             migration: None,
+            transferred: HashSet::new(),
             stats_base: EngineStats::default(),
         }
     }
@@ -219,6 +225,18 @@ impl CacheUnit {
         self.meta.touch(key, now_ms, expiry_ms)
     }
 
+    /// Hands a chunk back to the server's global pool for a neighbour
+    /// unit; see [`Engine::release_chunk`].
+    pub fn release_chunk(&mut self, evict: bool) -> bool {
+        self.meta.engine_mut().release_chunk(evict)
+    }
+
+    /// Whether storing a `value_len`-byte value would allocate fresh
+    /// memory; see [`Engine::needs_fresh_memory`].
+    pub fn needs_fresh_memory(&self, value_len: usize) -> bool {
+        self.meta.engine().needs_fresh_memory(value_len)
+    }
+
     /// Bytes of payload stored.
     pub fn value_bytes(&self) -> usize {
         self.meta.engine_stats().value_bytes
@@ -277,6 +295,13 @@ impl CacheUnit {
         }
     }
 
+    /// Whether `key` was handed over in the current transfer: drained
+    /// from here (source) or received here (destination). On both sides
+    /// this tells a key the other end may hold from one it never had.
+    pub fn was_transferred(&self, key: &[u8]) -> bool {
+        self.transferred.contains(key)
+    }
+
     /// Drains the next partition for transfer. Returns the entries, or
     /// `None` when every partition has been drained.
     pub fn drain_next_bucket(&mut self) -> Option<DrainedBucket> {
@@ -286,7 +311,18 @@ impl CacheUnit {
         }
         let b = p.next_bucket;
         p.next_bucket += 1;
-        Some(self.meta.engine_mut().drain_partition(b))
+        let batch = self.meta.engine_mut().drain_partition(b);
+        self.transferred
+            .extend(batch.iter().map(|(k, _, _)| k.clone()));
+        Some(batch)
+    }
+
+    /// Installs one transfer batch on the destination and remembers its
+    /// keys until the commit; see [`CacheUnit::install_entries`].
+    pub fn receive_entries(&mut self, entries: Vec<(Vec<u8>, Value, u64)>, now_ms: u64) -> usize {
+        self.transferred
+            .extend(entries.iter().map(|(k, _, _)| k.as_slice().into()));
+        self.install_entries(entries, now_ms)
     }
 
     /// Installs entries received from a migrating source (destination
@@ -317,10 +353,12 @@ impl CacheUnit {
     }
 
     /// Finishes migration bookkeeping (source side, before dropping, or
-    /// destination side after commit): thaws the engine.
+    /// destination side after commit): thaws the engine and forgets the
+    /// transferred keys.
     pub fn finish_migration(&mut self) {
         self.meta.engine_mut().thaw();
         self.migration = None;
+        self.transferred = HashSet::new();
     }
 }
 

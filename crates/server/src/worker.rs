@@ -17,10 +17,10 @@
 //! fast path stays contention-free), and `Request::Stats` serves the
 //! accumulated [`StatsReport`] back over the wire.
 
+use crate::mailbox::Mailbox;
 use crate::messages::{Control, EpochReport, WorkerMsg};
 use crate::transport::Transport;
 use crate::unit::CacheUnit;
-use crossbeam_channel::Receiver;
 use mbal_balancer::WorkerLoad;
 use mbal_core::clock::Clock;
 use mbal_core::hash::shard_hash;
@@ -32,6 +32,7 @@ use mbal_telemetry::{Counter, Gauge, MetricsShard, StatsReport};
 use mbal_tenant::{
     namespaced_key, split_namespaced, ArbiterConfig, MrcEstimator, TenantDirectory, TenantLoad,
 };
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -39,8 +40,6 @@ use std::sync::Arc;
 pub struct WorkerContext {
     /// This worker's cluster address.
     pub addr: WorkerAddr,
-    /// Mailbox.
-    pub rx: Receiver<WorkerMsg>,
     /// Peer transport (replica propagation).
     pub transport: Arc<dyn Transport>,
     /// Time source.
@@ -82,7 +81,8 @@ enum TenantOp {
     Write(u64, usize),
 }
 
-/// The worker state machine; drive it with [`Worker::run`].
+/// The worker state machine. It lives in a [`WorkerCell`], served by
+/// its own thread ([`spawn_worker`]) and, when idle, by in-proc callers.
 pub struct Worker {
     ctx: WorkerContext,
     units: HashMap<CacheletId, Box<CacheUnit>>,
@@ -125,40 +125,66 @@ impl Worker {
         self.ctx.tenants.len() > 1
     }
 
-    /// Runs the event loop until `Control::Shutdown` or channel close.
-    pub fn run(mut self) {
-        loop {
-            match self.ctx.rx.recv() {
-                Ok(WorkerMsg::Rpc { req, reply }) => {
-                    let resp = self.handle_rpc(req);
-                    let _ = reply.send(resp);
-                }
-                Ok(WorkerMsg::RpcBatch { reqs, reply }) => {
-                    self.ctx.metrics.incr(Counter::BatchRpcs);
-                    let resps = reqs.into_iter().map(|r| self.handle_rpc(r)).collect();
-                    let _ = reply.send(resps);
-                }
-                Ok(WorkerMsg::RpcTagged {
-                    reqs,
-                    tag,
-                    reply,
-                    notify,
-                }) => {
-                    if reqs.len() > 1 {
-                        self.ctx.metrics.incr(Counter::BatchRpcs);
-                    }
-                    let resps = reqs.into_iter().map(|r| self.handle_rpc(r)).collect();
-                    let _ = reply.send((tag, resps));
-                    notify.wake();
-                }
-                Ok(WorkerMsg::Control(c)) => {
-                    if !self.handle_control(c) {
-                        return;
-                    }
-                }
-                Err(_) => return,
+    /// Serves one mailbox message; `false` on `Control::Shutdown`.
+    fn handle_msg(&mut self, msg: WorkerMsg) -> bool {
+        match msg {
+            WorkerMsg::Rpc { req, reply } => {
+                let resp = self.handle_rpc(req);
+                let _ = reply.send(resp);
             }
+            WorkerMsg::RpcBatch { reqs, reply } => {
+                let _ = reply.send(self.handle_batch(reqs));
+            }
+            WorkerMsg::RpcTagged {
+                reqs,
+                tag,
+                reply,
+                notify,
+            } => {
+                if reqs.len() > 1 {
+                    self.ctx.metrics.incr(Counter::BatchRpcs);
+                }
+                let resps = reqs.into_iter().map(|r| self.handle_rpc(r)).collect();
+                let _ = reply.send((tag, resps));
+                notify.wake();
+            }
+            WorkerMsg::Control(c) => return self.handle_control(c),
         }
+        true
+    }
+
+    /// Whether `req` may run on a caller's thread. The bulk of the
+    /// worker's memory — slab chunks, the replica table, migrated
+    /// batches — is allocated by the worker's own thread: glibc keeps
+    /// memory in the arena of the thread that allocated it, and cache
+    /// memory spread over short-lived client threads' arenas is not
+    /// reused when they exit, so peak RSS grows. A store that would take
+    /// a fresh chunk therefore goes through the mailbox, and so do the
+    /// replica and migration installs (control-plane traffic).
+    fn serves_inline(&self, req: &Request) -> bool {
+        match req {
+            Request::Set {
+                cachelet, value, ..
+            }
+            | Request::Add {
+                cachelet, value, ..
+            }
+            | Request::Replace {
+                cachelet, value, ..
+            } => !self
+                .units
+                .get(cachelet)
+                .is_some_and(|u| u.needs_fresh_memory(value.len())),
+            Request::ForTenant { req, .. } => self.serves_inline(req),
+            Request::ReplicaInstall { .. } | Request::MigrateEntries { .. } => false,
+            _ => true,
+        }
+    }
+
+    /// Serves a pipelined batch in order, counted as one batch RPC.
+    fn handle_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
+        self.ctx.metrics.incr(Counter::BatchRpcs);
+        reqs.into_iter().map(|r| self.handle_rpc(r)).collect()
     }
 
     fn now_ms(&self) -> u64 {
@@ -327,7 +353,7 @@ impl Worker {
                     u.meta_mut().adopt();
                     u
                 });
-                unit.install_entries(entries, now);
+                unit.receive_entries(entries, now);
                 Response::MigrateAck
             }
             Request::MigrateCommit { cachelet } => {
@@ -390,12 +416,30 @@ impl Worker {
         let Some(unit) = self.units.get_mut(&cachelet) else {
             return self.not_owner(cachelet);
         };
-        if unit.key_migrated(key) {
+        // Source side: a key that left with its drained bucket is read at
+        // the destination. One that was absent when its bucket drained
+        // stays absent here (writes to drained buckets are redirected),
+        // so it is answered below as a miss rather than sent on.
+        if unit.key_migrated(key) && unit.was_transferred(key) {
             let dest = unit.migration().expect("migrated implies migrating").dest;
             return Response::Moved {
                 cachelet,
                 new_owner: dest,
             };
+        }
+        if let Some(&source) = self.forwards.get(&cachelet) {
+            // A unit that still has a forward is migrating in: its
+            // source announced the transfer and has not committed it.
+            // A key neither received nor stored here may sit in a bucket
+            // the source has not drained, or drained and not yet sent,
+            // so the miss goes back to the source; the source answers
+            // it or, for a key in flight, sends it back until it lands.
+            if !unit.was_transferred(key) && !unit.meta_mut().engine_mut().contains(key, now) {
+                return Response::Moved {
+                    cachelet,
+                    new_owner: source,
+                };
+            }
         }
         // Counted only when actually served here: a redirected op is
         // retried (and counted) at its new owner and shows up in
@@ -452,8 +496,7 @@ impl Worker {
         self.ctx.metrics.incr(Counter::Sets);
         self.ctx.metrics.add(Counter::BytesIn, value.len() as u64);
         self.track_key(&key, false);
-        let unit = self.units.get_mut(&cachelet).expect("checked above");
-        match unit.set(&key, &value, now, expiry_ms) {
+        match self.store_with_reclaim(cachelet, |u| u.set(&key, &value, now, expiry_ms)) {
             Ok(_) => {
                 self.propagate_update(&key, &value);
                 Response::Stored
@@ -467,6 +510,43 @@ impl Worker {
                 message: e.to_string(),
             },
         }
+    }
+
+    /// Runs a value write against an owned unit. When the unit's own
+    /// LRU cannot make room and the server's global pool is empty, the
+    /// worker takes a chunk from one of its other units and retries, so
+    /// a fresh unit (say, one just created by an inbound migration) on a
+    /// full server still accepts writes.
+    fn store_with_reclaim<T>(
+        &mut self,
+        cachelet: CacheletId,
+        mut write: impl FnMut(&mut CacheUnit) -> Result<T, CacheError>,
+    ) -> Result<T, CacheError> {
+        loop {
+            let unit = self.units.get_mut(&cachelet).expect("owned unit");
+            match write(unit) {
+                Err(CacheError::OutOfMemory) if self.reclaim_chunk(cachelet) => {}
+                outcome => return outcome,
+            }
+        }
+    }
+
+    /// Returns one chunk to the global pool from a unit other than
+    /// `cachelet`: an idle chunk if any unit holds one, otherwise by
+    /// evicting from the unit with the most bytes. Units mid-migration
+    /// are left alone. `false` when no unit could give.
+    fn reclaim_chunk(&mut self, cachelet: CacheletId) -> bool {
+        let mut donors: Vec<&mut Box<CacheUnit>> = self
+            .units
+            .iter_mut()
+            .filter(|(id, u)| **id != cachelet && u.migration().is_none())
+            .map(|(_, u)| u)
+            .collect();
+        if donors.iter_mut().any(|u| u.release_chunk(false)) {
+            return true;
+        }
+        donors.sort_by_key(|u| std::cmp::Reverse(u.value_bytes()));
+        donors.into_iter().any(|u| u.release_chunk(true))
     }
 
     /// Common preamble for single-key write ops: ownership check and the
@@ -506,12 +586,13 @@ impl Worker {
         }
         self.ctx.metrics.incr(Counter::CondStores);
         let now = self.now_ms();
-        let unit = self.units.get_mut(&cachelet).expect("checked by preamble");
-        let outcome = if add {
-            unit.add(&key, &value, now, expiry_ms)
-        } else {
-            unit.replace(&key, &value, now, expiry_ms)
-        };
+        let outcome = self.store_with_reclaim(cachelet, |u| {
+            if add {
+                u.add(&key, &value, now, expiry_ms)
+            } else {
+                u.replace(&key, &value, now, expiry_ms)
+            }
+        });
         match outcome {
             Ok(true) => {
                 self.propagate_update(&key, &value);
@@ -550,8 +631,7 @@ impl Worker {
             return resp;
         }
         let now = self.now_ms();
-        let unit = self.units.get_mut(&cachelet).expect("checked by preamble");
-        match unit.concat(&key, &value, front, now) {
+        match self.store_with_reclaim(cachelet, |u| u.concat(&key, &value, front, now)) {
             Ok(Some(_len)) => {
                 if let Some(new_value) =
                     self.units.get_mut(&cachelet).and_then(|u| u.get(&key, now))
@@ -1122,13 +1202,104 @@ fn tenant_op(req: &Request) -> Option<TenantOp> {
     }
 }
 
-/// Spawns a worker thread, returning its mailbox sender and join handle.
-pub fn spawn_worker(ctx: WorkerContext) -> std::thread::JoinHandle<()> {
+/// A worker as the rest of the process sees it: its mailbox, and the
+/// cell that holds the worker's state.
+///
+/// The worker's thread and in-proc callers take turns on the cell. An
+/// in-proc call that finds the cell unlocked and the mailbox empty is
+/// served on the caller's own thread ([`WorkerCell::try_serve`]), which
+/// saves the mailbox hop; otherwise it queues like every other message.
+/// Requests that build long-lived worker memory (a store needing a
+/// fresh slab chunk, replica and migration installs) always queue.
+/// The thread waits for mail outside the lock, then drains the mailbox
+/// under it, so an inline call never overtakes a message queued before
+/// it started (DESIGN §2.1).
+pub struct WorkerCell {
+    mailbox: Mailbox<WorkerMsg>,
+    worker: Mutex<Option<Worker>>,
+}
+
+impl WorkerCell {
+    /// A cell with no worker in it: every message waits in `mailbox`
+    /// for whoever consumes it (test doubles, custom serving loops).
+    pub fn detached(mailbox: Mailbox<WorkerMsg>) -> Arc<Self> {
+        Arc::new(Self {
+            mailbox,
+            worker: Mutex::new(None),
+        })
+    }
+
+    /// The worker's mailbox.
+    pub fn mailbox(&self) -> &Mailbox<WorkerMsg> {
+        &self.mailbox
+    }
+
+    /// Locks the worker for the calling thread if it is idle (nobody
+    /// holds the cell, nothing is queued, it has not shut down) and
+    /// every request in `reqs` may run inline.
+    fn lock_idle(&self, reqs: &[Request]) -> Option<MutexGuard<'_, Option<Worker>>> {
+        let guard = self.worker.try_lock()?;
+        let idle = self.mailbox.is_empty()
+            && guard
+                .as_ref()
+                .is_some_and(|w| reqs.iter().all(|r| w.serves_inline(r)));
+        idle.then_some(guard)
+    }
+
+    /// Serves `req` on the calling thread if the worker is idle, else
+    /// hands `req` back for the mailbox.
+    pub fn try_serve(&self, req: Request) -> Result<Response, Request> {
+        match self.lock_idle(std::slice::from_ref(&req)) {
+            Some(mut w) => Ok(w.as_mut().expect("checked idle").handle_rpc(req)),
+            None => Err(req),
+        }
+    }
+
+    /// [`WorkerCell::try_serve`] for a pipelined batch.
+    pub fn try_serve_batch(&self, reqs: Vec<Request>) -> Result<Vec<Response>, Vec<Request>> {
+        match self.lock_idle(&reqs) {
+            Some(mut w) => Ok(w.as_mut().expect("checked idle").handle_batch(reqs)),
+            None => Err(reqs),
+        }
+    }
+
+    /// The worker thread's loop: wait for mail, then drain it under the
+    /// cell lock. On `Shutdown` the worker leaves the cell, so its
+    /// memory (and its handle on the transport, which points back at
+    /// this cell through the registry) is freed even while callers
+    /// still hold the cell; the mailbox closes, and later calls fail
+    /// as unreachable.
+    fn run(&self) {
+        while self.mailbox.wait() {
+            let mut cell = self.worker.lock();
+            let Some(worker) = cell.as_mut() else {
+                return;
+            };
+            while let Some(msg) = self.mailbox.try_recv() {
+                if !worker.handle_msg(msg) {
+                    self.mailbox.close();
+                    *cell = None;
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// Spawns a worker thread, returning the worker's cell and the
+/// thread's join handle.
+pub fn spawn_worker(ctx: WorkerContext) -> (Arc<WorkerCell>, std::thread::JoinHandle<()>) {
     let name = format!("mbal-worker-{}", ctx.addr);
-    std::thread::Builder::new()
+    let cell = Arc::new(WorkerCell {
+        mailbox: Mailbox::new(),
+        worker: Mutex::new(Some(Worker::new(ctx))),
+    });
+    let runner = Arc::clone(&cell);
+    let handle = std::thread::Builder::new()
         .name(name)
-        .spawn(move || Worker::new(ctx).run())
-        .expect("spawn worker thread")
+        .spawn(move || runner.run())
+        .expect("spawn worker thread");
+    (cell, handle)
 }
 
 /// Convenience for tests and tools: list the hot keys a worker would

@@ -10,9 +10,9 @@
 
 #![cfg(target_os = "linux")]
 
-use crossbeam_channel::Sender;
 use mbal_core::types::{Value, WorkerAddr};
 use mbal_proto::{Request, Response, Status};
+use mbal_server::mailbox::Mailbox;
 use mbal_server::messages::WorkerMsg;
 use mbal_server::tcp::serve_tcp_with;
 use mbal_server::{IoBackend, IoConfig};
@@ -32,8 +32,9 @@ fn thread_count() -> usize {
 }
 
 /// A minimal in-memory worker speaking the tagged mailbox protocol.
-fn spawn_worker() -> Sender<WorkerMsg> {
-    let (tx, rx) = crossbeam_channel::unbounded::<WorkerMsg>();
+fn spawn_worker() -> Mailbox<WorkerMsg> {
+    let tx = Mailbox::new();
+    let rx = tx.clone();
     std::thread::spawn(move || {
         let mut map: HashMap<Vec<u8>, Value> = HashMap::new();
         let answer = |req: Request, map: &mut HashMap<Vec<u8>, Value>| match req {
@@ -53,7 +54,7 @@ fn spawn_worker() -> Sender<WorkerMsg> {
                 message: "unsupported".into(),
             },
         };
-        while let Ok(msg) = rx.recv() {
+        while let Some(msg) = rx.recv() {
             match msg {
                 WorkerMsg::Rpc { req, reply } => {
                     let _ = reply.send(answer(req, &mut map));

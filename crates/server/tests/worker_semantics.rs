@@ -2,22 +2,23 @@
 //! checks, forwarding, the replica table, MultiGET, migration rules
 //! (Write-Invalidate), epoch reports and sampling backoff.
 
-use crossbeam_channel::{bounded, unbounded, Sender};
+use crossbeam_channel::bounded;
 use mbal_core::clock::ManualClock;
 use mbal_core::engine::EngineKind;
 use mbal_core::hotkey::HotKeyConfig;
 use mbal_core::mem::{GlobalPool, MemConfig};
 use mbal_core::types::{CacheletId, Value, WorkerAddr, WorkerId};
 use mbal_proto::{Request, Response, Status};
+use mbal_server::mailbox::Mailbox;
 use mbal_server::messages::{Control, EpochReport, WorkerMsg};
-use mbal_server::transport::InProcRegistry;
+use mbal_server::transport::{InProcRegistry, Transport, TransportError};
 use mbal_server::unit::CacheUnit;
-use mbal_server::worker::{spawn_worker, WorkerContext};
+use mbal_server::worker::{spawn_worker, WorkerCell, WorkerContext};
 use mbal_telemetry::{Counter, MetricsShard, StatsReport};
 use std::sync::Arc;
 
 struct Fixture {
-    tx: Sender<WorkerMsg>,
+    cell: Arc<WorkerCell>,
     clock: ManualClock,
     registry: Arc<InProcRegistry>,
     _join: std::thread::JoinHandle<()>,
@@ -28,21 +29,32 @@ fn fixture(addr: WorkerAddr, cachelets: &[u32]) -> Fixture {
 }
 
 fn fixture_with_engine(addr: WorkerAddr, cachelets: &[u32], engine: EngineKind) -> Fixture {
+    fixture_with(addr, cachelets, engine, 16 << 20, None)
+}
+
+/// A worker over a global pool of `mem` bytes in 64 KiB chunks (local
+/// pools keep up to 4 MiB free). With a `gate`, every unit the worker
+/// creates for itself first waits for one message on it, which holds
+/// the worker busy.
+fn fixture_with(
+    addr: WorkerAddr,
+    cachelets: &[u32],
+    engine: EngineKind,
+    mem_bytes: usize,
+    gate: Option<std::sync::mpsc::Receiver<()>>,
+) -> Fixture {
     let registry = InProcRegistry::new();
     let clock = ManualClock::new();
-    let (tx, rx) = unbounded();
-    registry.register(addr, tx.clone());
     let mem = {
-        let mut m = MemConfig::with_capacity(16 << 20);
+        let mut m = MemConfig::with_capacity(mem_bytes);
         m.chunk_size = 1 << 16;
         m
     };
-    let global = Arc::new(GlobalPool::new(16 << 20, 1 << 16, 1));
+    let global = Arc::new(GlobalPool::new(mem_bytes, 1 << 16, 1));
     let factory_mem = mem.clone();
     let factory_global = Arc::clone(&global);
     let ctx = WorkerContext {
         addr,
-        rx,
         transport: Arc::clone(&registry) as Arc<dyn mbal_server::Transport>,
         clock: Arc::new(clock.clone()),
         hotkey: HotKeyConfig {
@@ -50,24 +62,28 @@ fn fixture_with_engine(addr: WorkerAddr, cachelets: &[u32], engine: EngineKind) 
             ..HotKeyConfig::default()
         },
         load_capacity: 10_000.0,
-        mem_capacity: 16 << 20,
+        mem_capacity: mem_bytes as u64,
         sync_replication: true,
         metrics: Arc::new(MetricsShard::new()),
         unit_factory: Box::new(move |id| {
+            if let Some(gate) = &gate {
+                let _ = gate.recv();
+            }
             CacheUnit::with_engine_kind(
                 engine,
                 id,
                 Arc::clone(&factory_global),
                 &factory_mem,
                 0,
-                16 << 20,
+                mem_bytes,
             )
         }),
         tenants: mbal_tenant::TenantDirectory::new(),
     };
-    let join = spawn_worker(ctx);
+    let (cell, join) = spawn_worker(ctx);
+    registry.register(addr, Arc::clone(&cell));
     let f = Fixture {
-        tx,
+        cell,
         clock,
         registry,
         _join: join,
@@ -79,7 +95,7 @@ fn fixture_with_engine(addr: WorkerAddr, cachelets: &[u32], engine: EngineKind) 
             Arc::clone(&global),
             &mem,
             0,
-            16 << 20,
+            mem_bytes,
         ));
         let (rtx, rrx) = bounded(1);
         f.control(Control::Adopt {
@@ -95,14 +111,18 @@ fn fixture_with_engine(addr: WorkerAddr, cachelets: &[u32], engine: EngineKind) 
 impl Fixture {
     fn rpc(&self, req: Request) -> Response {
         let (rtx, rrx) = bounded(1);
-        self.tx
+        self.cell
+            .mailbox()
             .send(WorkerMsg::Rpc { req, reply: rtx })
             .expect("send");
         rrx.recv().expect("reply")
     }
 
     fn control(&self, c: Control) {
-        self.tx.send(WorkerMsg::Control(c)).expect("send");
+        self.cell
+            .mailbox()
+            .send(WorkerMsg::Control(c))
+            .expect("send");
     }
 
     fn epoch(&self) -> EpochReport {
@@ -288,10 +308,7 @@ fn get_piggybacks_replica_locations() {
 fn writes_propagate_to_shadow_synchronously() {
     // Two workers on the registry: home (0,0) and shadow (1,0).
     let home = fixture(WorkerAddr::new(0, 0), &[1]);
-    let shadow_registry = Arc::clone(&home.registry);
     // Spawn the shadow worker sharing home's registry.
-    let (stx, srx) = unbounded();
-    shadow_registry.register(WorkerAddr::new(1, 0), stx.clone());
     let mem = {
         let mut m = MemConfig::with_capacity(4 << 20);
         m.chunk_size = 1 << 16;
@@ -300,7 +317,6 @@ fn writes_propagate_to_shadow_synchronously() {
     let global = Arc::new(GlobalPool::new(4 << 20, 1 << 16, 1));
     let ctx = WorkerContext {
         addr: WorkerAddr::new(1, 0),
-        rx: srx,
         transport: Arc::clone(&home.registry) as Arc<dyn mbal_server::Transport>,
         clock: Arc::new(home.clock.clone()),
         hotkey: HotKeyConfig::default(),
@@ -311,7 +327,10 @@ fn writes_propagate_to_shadow_synchronously() {
         unit_factory: Box::new(move |id| CacheUnit::new(id, Arc::clone(&global), &mem, 0)),
         tenants: mbal_tenant::TenantDirectory::new(),
     };
-    let _join = spawn_worker(ctx);
+    let (shadow, _join) = spawn_worker(ctx);
+    home.registry
+        .register(WorkerAddr::new(1, 0), Arc::clone(&shadow));
+    let stx = shadow.mailbox();
 
     set(&home, 1, b"hot", b"v1");
     // Install the replica at the shadow and tell home about it.
@@ -359,8 +378,8 @@ fn migration_write_invalidate_rules() {
     }
     let dest = WorkerAddr::new(1, 0);
     // Register a sink for the cast invalidations the source sends.
-    let (sink_tx, _sink_rx) = unbounded();
-    f.registry.register(dest, sink_tx);
+    f.registry
+        .register(dest, WorkerCell::detached(Mailbox::new()));
     let (rtx, rrx) = bounded(1);
     f.control(Control::BeginMigration {
         id: CacheletId(1),
@@ -555,8 +574,8 @@ fn extended_write_ops_redirect_on_migrated_buckets() {
         set(&f, 1, format!("k{i}").as_bytes(), b"10");
     }
     let dest = WorkerAddr::new(1, 0);
-    let (sink_tx, _sink_rx) = unbounded();
-    f.registry.register(dest, sink_tx);
+    f.registry
+        .register(dest, WorkerCell::detached(Mailbox::new()));
     let (rtx, rrx) = bounded(1);
     f.control(Control::BeginMigration {
         id: CacheletId(1),
@@ -645,8 +664,6 @@ fn concat_propagates_full_value_to_replicas() {
     // Home (0,0) + shadow (1,0) sharing the registry: after an append on
     // a replicated key, the shadow must hold the *combined* value.
     let home = fixture(WorkerAddr::new(0, 0), &[1]);
-    let (stx, srx) = unbounded();
-    home.registry.register(WorkerAddr::new(1, 0), stx.clone());
     let mem = {
         let mut m = MemConfig::with_capacity(4 << 20);
         m.chunk_size = 1 << 16;
@@ -655,7 +672,6 @@ fn concat_propagates_full_value_to_replicas() {
     let global = Arc::new(GlobalPool::new(4 << 20, 1 << 16, 1));
     let ctx = WorkerContext {
         addr: WorkerAddr::new(1, 0),
-        rx: srx,
         transport: Arc::clone(&home.registry) as Arc<dyn mbal_server::Transport>,
         clock: Arc::new(home.clock.clone()),
         hotkey: HotKeyConfig::default(),
@@ -666,7 +682,10 @@ fn concat_propagates_full_value_to_replicas() {
         unit_factory: Box::new(move |id| CacheUnit::new(id, Arc::clone(&global), &mem, 0)),
         tenants: mbal_tenant::TenantDirectory::new(),
     };
-    let _join = spawn_worker(ctx);
+    let (shadow, _join) = spawn_worker(ctx);
+    home.registry
+        .register(WorkerAddr::new(1, 0), Arc::clone(&shadow));
+    let stx = shadow.mailbox();
 
     set(&home, 1, b"hot", b"base");
     let (rtx, rrx) = bounded(1);
@@ -708,4 +727,504 @@ fn concat_propagates_full_value_to_replicas() {
         }
     );
     home.control(Control::Shutdown);
+}
+
+#[test]
+fn an_empty_unit_on_a_full_server_still_accepts_sets() {
+    // 1 MiB of cache, far below the local pools' 4 MiB high watermark:
+    // units never hand chunks back on their own.
+    let f = fixture_with(
+        WorkerAddr::new(0, 0),
+        &[1, 2],
+        EngineKind::SlabLru,
+        1 << 20,
+        None,
+    );
+    let value = vec![7u8; 3000];
+    for i in 0..1200u32 {
+        let resp = set(&f, 1 + i % 2, format!("fill{i}").as_bytes(), &value);
+        assert_eq!(resp, Response::Stored, "fill {i}");
+    }
+    assert!(
+        f.epoch().load.metrics.get(Counter::Evictions) > 0,
+        "the seeded units filled the server"
+    );
+    // An inbound coordinated migration of an empty cachelet.
+    assert_eq!(
+        f.rpc(Request::MigrateEntries {
+            cachelet: CacheletId(9),
+            entries: vec![],
+        }),
+        Response::MigrateAck
+    );
+    assert_eq!(
+        f.rpc(Request::MigrateCommit {
+            cachelet: CacheletId(9)
+        }),
+        Response::MigrateAck
+    );
+    for (i, len) in [1024usize, 2500, 4096].into_iter().enumerate() {
+        let key = format!("new{i}");
+        assert_eq!(
+            set(&f, 9, key.as_bytes(), &vec![1u8; len]),
+            Response::Stored,
+            "{len}-byte SET into the new unit"
+        );
+        assert_eq!(
+            get(&f, 9, key.as_bytes()),
+            Response::Value {
+                value: vec![1u8; len].into(),
+                replicas: vec![]
+            }
+        );
+    }
+    f.control(Control::Shutdown);
+}
+
+/// Serves `req` on the test thread, waiting out the moments in which
+/// the worker's own thread holds its cell.
+fn serve_inline(cell: &WorkerCell, req: Request) -> Response {
+    let mut req = req;
+    loop {
+        match cell.try_serve(req) {
+            Ok(resp) => return resp,
+            Err(back) => {
+                req = back;
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+#[test]
+fn a_cast_queued_before_an_inline_read_is_visible_to_it() {
+    let f = fixture(WorkerAddr::new(0, 0), &[]);
+    let addr = WorkerAddr::new(0, 0);
+    let key = b"hot".to_vec();
+    f.rpc(Request::ReplicaInstall {
+        key: key.clone(),
+        value: b"v0".to_vec().into(),
+        lease_expiry_ms: u64::MAX,
+    });
+    for i in 1..=500u32 {
+        let v = format!("v{i}").into_bytes();
+        f.registry.cast(
+            addr,
+            Request::ReplicaUpdate {
+                key: key.clone(),
+                value: v.clone().into(),
+            },
+        );
+        let read = Request::ReplicaRead { key: key.clone() };
+        // An inline read may run only once the update has been served;
+        // otherwise it must fall back behind the update in the mailbox.
+        let resp = match f.cell.try_serve(read) {
+            Ok(resp) => resp,
+            Err(read) => f.registry.call(addr, read).expect("reachable"),
+        };
+        assert_eq!(
+            resp,
+            Response::Value {
+                value: v.into(),
+                replicas: vec![]
+            },
+            "round {i}"
+        );
+    }
+    // The inline path itself must be live, or the test proves nothing.
+    assert_eq!(
+        serve_inline(&f.cell, Request::ReplicaRead { key }),
+        Response::Value {
+            value: b"v500".to_vec().into(),
+            replicas: vec![]
+        }
+    );
+    f.control(Control::Shutdown);
+}
+
+#[test]
+fn a_busy_worker_makes_callers_queue_and_honour_their_deadline() {
+    let (open, gate) = std::sync::mpsc::channel();
+    let f = fixture_with(
+        WorkerAddr::new(0, 0),
+        &[1],
+        EngineKind::SlabLru,
+        16 << 20,
+        Some(gate),
+    );
+    let addr = WorkerAddr::new(0, 0);
+    set(&f, 1, b"k", b"v");
+    // Promoting replicas into a cachelet the worker does not own makes
+    // it build a unit, which waits at the gate: the worker is busy.
+    let (rtx, rrx) = bounded(1);
+    f.control(Control::PromoteReplicas {
+        cachelet: CacheletId(5),
+        num_vns: 64,
+        num_cachelets: 8,
+        reply: rtx,
+    });
+    while !f.cell.mailbox().is_empty() {
+        std::thread::yield_now();
+    }
+    let get_k = Request::Get {
+        cachelet: CacheletId(1),
+        key: b"k".to_vec(),
+    };
+    let started = std::time::Instant::now();
+    let deadline = std::time::Duration::from_millis(50);
+    assert_eq!(
+        f.registry.call_with_deadline(addr, get_k.clone(), deadline),
+        Err(TransportError::Timeout(addr))
+    );
+    let waited = started.elapsed();
+    assert!(waited >= deadline, "gave up early: {waited:?}");
+    assert!(waited < deadline * 20, "overran its deadline: {waited:?}");
+    let batch = f
+        .registry
+        .call_many(addr, vec![get_k.clone(), get_k.clone()], deadline);
+    assert_eq!(
+        batch,
+        vec![
+            Err(TransportError::Timeout(addr)),
+            Err(TransportError::Timeout(addr))
+        ]
+    );
+    open.send(()).expect("worker waits at the gate");
+    assert_eq!(rrx.recv().expect("promotion finishes"), 0);
+    assert_eq!(
+        f.registry.call(addr, get_k).expect("served again"),
+        Response::Value {
+            value: b"v".to_vec().into(),
+            replicas: vec![]
+        }
+    );
+    f.control(Control::Shutdown);
+}
+
+#[test]
+fn inline_calls_count_in_the_ledgers_like_mailbox_calls() {
+    let f = fixture(WorkerAddr::new(0, 0), &[1]);
+    set(&f, 1, b"k", b"v");
+    let get_k = Request::Get {
+        cachelet: CacheletId(1),
+        key: b"k".to_vec(),
+    };
+    let ledgers = |f: &Fixture| {
+        let m = f.epoch().load.metrics;
+        [
+            m.get(Counter::Ops),
+            m.get(Counter::Gets),
+            m.get(Counter::GetHits),
+            m.get(Counter::BatchRpcs),
+        ]
+    };
+    // Through the mailbox: three GETs and one batch of two.
+    let before = ledgers(&f);
+    for _ in 0..3 {
+        f.rpc(get_k.clone());
+    }
+    let (rtx, rrx) = bounded(1);
+    f.cell
+        .mailbox()
+        .send(WorkerMsg::RpcBatch {
+            reqs: vec![get_k.clone(), get_k.clone()],
+            reply: rtx,
+        })
+        .expect("send");
+    rrx.recv().expect("batch reply");
+    let mailbox = ledgers(&f);
+    // On this thread: the same traffic.
+    for _ in 0..3 {
+        serve_inline(&f.cell, get_k.clone());
+    }
+    let mut reqs = vec![get_k.clone(), get_k];
+    let resps = loop {
+        match f.cell.try_serve_batch(reqs) {
+            Ok(resps) => break resps,
+            Err(back) => {
+                reqs = back;
+                std::thread::yield_now();
+            }
+        }
+    };
+    assert_eq!(resps.len(), 2);
+    let inline = ledgers(&f);
+    for i in 0..4 {
+        assert_eq!(
+            inline[i] - mailbox[i],
+            mailbox[i] - before[i],
+            "ledger {i}: inline {inline:?} vs mailbox {mailbox:?} from {before:?}"
+        );
+    }
+    assert_eq!(mailbox[1] - before[1], 5);
+    assert_eq!(mailbox[3] - before[3], 1);
+    f.control(Control::Shutdown);
+}
+
+#[test]
+fn a_shut_down_worker_is_unreachable_and_freed() {
+    use mbal_balancer::coordinator::Coordinator;
+    use mbal_balancer::BalancerConfig;
+    use mbal_core::clock::RealClock;
+    use mbal_core::types::ServerId;
+    use mbal_ring::{ConsistentRing, MappingTable};
+    use mbal_server::{Server, ServerConfig};
+
+    let addr = WorkerAddr::new(0, 0);
+    let mut ring = ConsistentRing::new();
+    ring.add_worker(addr);
+    let mapping = MappingTable::build(&ring, 2, 16);
+    let registry = InProcRegistry::new();
+    let mut server = Server::spawn(
+        ServerConfig::new(ServerId(0), 1, 4 << 20).cachelets_per_worker(2),
+        &mapping,
+        &registry,
+        Arc::new(Coordinator::new(mapping.clone(), BalancerConfig::default())),
+        Arc::new(RealClock::new()),
+    );
+    let cachelet = mapping.cachelets_of_worker(addr)[0];
+    let get_k = Request::Get {
+        cachelet,
+        key: b"k".to_vec(),
+    };
+    assert_eq!(registry.call(addr, get_k.clone()), Ok(Response::NotFound));
+    let cell = Arc::downgrade(&registry.cell(addr).expect("registered"));
+    let served = server.metrics_snapshot().get(Counter::Ops);
+    server.shutdown();
+    assert_eq!(
+        registry.call(addr, get_k.clone()),
+        Err(TransportError::Unreachable(addr))
+    );
+    assert_eq!(
+        registry.call_many(addr, vec![get_k.clone()], std::time::Duration::from_secs(1)),
+        vec![Err(TransportError::Unreachable(addr))]
+    );
+    let strong = cell.upgrade().expect("the registry still holds the cell");
+    assert!(
+        strong.try_serve(get_k).is_err(),
+        "served by a stopped worker"
+    );
+    drop(strong);
+    assert_eq!(server.metrics_snapshot().get(Counter::Ops), served);
+    drop(server);
+    drop(registry);
+    assert!(
+        cell.upgrade().is_none(),
+        "a stopped worker's cell outlived its server and registry"
+    );
+}
+
+#[test]
+fn misses_in_a_cachelet_migrating_in_go_back_to_the_source_until_commit() {
+    let f = fixture(WorkerAddr::new(0, 0), &[]);
+    let source = WorkerAddr::new(1, 0);
+    let moved_to_source = Response::Moved {
+        cachelet: CacheletId(3),
+        new_owner: source,
+    };
+    // The source announces the transfer before draining anything.
+    assert_eq!(
+        f.rpc(Request::MigrateAbort {
+            cachelet: CacheletId(3),
+            home: source,
+        }),
+        Response::MigrateAck
+    );
+    assert_eq!(get(&f, 3, b"arrived"), moved_to_source);
+    let entry = |key: &[u8]| (key.to_vec(), Value::copy_from_slice(b"v"), 0);
+    assert_eq!(
+        f.rpc(Request::MigrateEntries {
+            cachelet: CacheletId(3),
+            entries: vec![entry(b"arrived")],
+        }),
+        Response::MigrateAck
+    );
+    assert_eq!(
+        get(&f, 3, b"arrived"),
+        Response::Value {
+            value: b"v".to_vec().into(),
+            replicas: vec![]
+        }
+    );
+    let gets = f.epoch().load.metrics.get(Counter::Gets);
+    assert_eq!(get(&f, 3, b"in-flight"), moved_to_source);
+    assert_eq!(
+        f.epoch().load.metrics.get(Counter::Gets),
+        gets,
+        "a redirected GET is not a served GET"
+    );
+    assert_eq!(
+        f.rpc(Request::MigrateCommit {
+            cachelet: CacheletId(3)
+        }),
+        Response::MigrateAck
+    );
+    assert_eq!(get(&f, 3, b"in-flight"), Response::NotFound);
+    f.control(Control::Shutdown);
+}
+
+/// Follows `Moved` redirects for a GET of `key` from `first`, as a
+/// client would, and stops at the first answer that is not a redirect
+/// or at a redirect back to a worker already visited. Returns the last
+/// answer and the workers visited, in order.
+fn read_following_redirects(
+    workers: &[(WorkerAddr, &Fixture)],
+    first: WorkerAddr,
+    key: &[u8],
+) -> (Response, Vec<WorkerAddr>) {
+    let mut at = first;
+    let mut visited = vec![];
+    loop {
+        visited.push(at);
+        let (_, f) = workers
+            .iter()
+            .find(|(a, _)| *a == at)
+            .expect("redirect to a known worker");
+        match get(f, 3, key) {
+            Response::Moved { new_owner, .. } if !visited.contains(&new_owner) => at = new_owner,
+            answer => return (answer, visited),
+        }
+    }
+}
+
+#[test]
+fn a_read_during_a_transfer_never_bounces_for_a_key_no_end_holds() {
+    let (src_addr, dst_addr) = (WorkerAddr::new(0, 0), WorkerAddr::new(1, 0));
+    let src = fixture(src_addr, &[3]);
+    let dst = fixture(dst_addr, &[]);
+    let workers = [(src_addr, &src), (dst_addr, &dst)];
+    for i in 0..200u32 {
+        set(&src, 3, format!("k{i}").as_bytes(), b"v");
+    }
+    assert_eq!(
+        dst.rpc(Request::MigrateAbort {
+            cachelet: CacheletId(3),
+            home: src_addr,
+        }),
+        Response::MigrateAck
+    );
+    let (rtx, rrx) = bounded(1);
+    src.control(Control::BeginMigration {
+        id: CacheletId(3),
+        dest: dst_addr,
+        reply: rtx,
+    });
+    assert!(rrx.recv().expect("begin"));
+    // Drain every bucket and deliver all but the last batch.
+    let mut batches = vec![];
+    loop {
+        let (dtx, drx) = bounded(1);
+        src.control(Control::DrainBucket {
+            id: CacheletId(3),
+            reply: dtx,
+        });
+        match drx.recv().expect("drain") {
+            Some(batch) if batch.is_empty() => {}
+            Some(batch) => batches.push(batch),
+            None => break,
+        }
+    }
+    let in_flight = batches.pop().expect("a non-empty bucket");
+    let delivered: Vec<Vec<u8>> = batches.iter().flatten().map(|e| e.0.clone()).collect();
+    for entries in batches {
+        assert_eq!(
+            dst.rpc(Request::MigrateEntries {
+                cachelet: CacheletId(3),
+                entries,
+            }),
+            Response::MigrateAck
+        );
+    }
+    // Clients follow the new mapping to the destination first.
+    for i in 0..50u32 {
+        let key = format!("absent{i}");
+        assert_eq!(
+            read_following_redirects(&workers, dst_addr, key.as_bytes()),
+            (Response::NotFound, vec![dst_addr, src_addr]),
+            "{key}"
+        );
+    }
+    let value = Response::Value {
+        value: b"v".to_vec().into(),
+        replicas: vec![],
+    };
+    for key in &delivered {
+        assert_eq!(
+            read_following_redirects(&workers, dst_addr, key),
+            (value.clone(), vec![dst_addr])
+        );
+    }
+    // A delivered key deleted at the destination is a miss there.
+    let gone = delivered[0].clone();
+    assert_eq!(
+        dst.rpc(Request::Delete {
+            cachelet: CacheletId(3),
+            key: gone.clone(),
+        }),
+        Response::Deleted
+    );
+    assert_eq!(
+        read_following_redirects(&workers, dst_addr, &gone),
+        (Response::NotFound, vec![dst_addr])
+    );
+    // Only a key in flight goes round, and only until it lands.
+    let (key, _, _) = in_flight[0].clone();
+    assert_eq!(
+        read_following_redirects(&workers, dst_addr, &key).1,
+        vec![dst_addr, src_addr],
+        "an in-flight key is sent back to the destination"
+    );
+    assert_eq!(
+        dst.rpc(Request::MigrateEntries {
+            cachelet: CacheletId(3),
+            entries: in_flight,
+        }),
+        Response::MigrateAck
+    );
+    assert_eq!(
+        read_following_redirects(&workers, dst_addr, &key),
+        (value, vec![dst_addr])
+    );
+    assert_eq!(
+        dst.rpc(Request::MigrateCommit {
+            cachelet: CacheletId(3)
+        }),
+        Response::MigrateAck
+    );
+    assert_eq!(
+        read_following_redirects(&workers, dst_addr, b"absent0"),
+        (Response::NotFound, vec![dst_addr])
+    );
+    src.control(Control::Shutdown);
+    dst.control(Control::Shutdown);
+}
+
+#[test]
+fn state_building_requests_are_left_to_the_worker_thread() {
+    let f = fixture_with(
+        WorkerAddr::new(0, 0),
+        &[1],
+        EngineKind::SlabLru,
+        16 << 20,
+        None,
+    );
+    let set_k = |key: &str| Request::Set {
+        cachelet: CacheletId(1),
+        key: key.as_bytes().to_vec(),
+        value: Value::copy_from_slice(&[5u8; 300]),
+        expiry_ms: 0,
+    };
+    // The unit holds no chunk yet: the first store would allocate one.
+    assert!(f.cell.try_serve(set_k("a")).is_err());
+    assert_eq!(f.rpc(set_k("a")), Response::Stored);
+    // Its chunk has room for more values of that size.
+    assert_eq!(serve_inline(&f.cell, set_k("b")), Response::Stored);
+    let install = Request::ReplicaInstall {
+        key: b"hot".to_vec(),
+        value: Value::copy_from_slice(b"v"),
+        lease_expiry_ms: u64::MAX,
+    };
+    assert!(f.cell.try_serve(install.clone()).is_err());
+    assert!(f.cell.try_serve_batch(vec![set_k("c"), install]).is_err());
+    f.control(Control::Shutdown);
 }

@@ -85,6 +85,7 @@ fn tcp_cluster_set_get_delete() {
 
 #[test]
 fn multiget_over_tcp_is_one_flush_per_worker() {
+    use mbal::server::mailbox::Mailbox;
     use mbal::server::messages::WorkerMsg;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -118,11 +119,12 @@ fn multiget_over_tcp_is_one_flush_per_worker() {
             .worker_mailboxes()
             .into_iter()
             .map(|(addr, real)| {
-                let (tx, rx) = crossbeam_channel::unbounded::<WorkerMsg>();
+                let tx = Mailbox::<WorkerMsg>::new();
+                let rx = tx.clone();
                 let singles = Arc::clone(&singles);
                 let batches = Arc::clone(&batches);
                 std::thread::spawn(move || {
-                    for msg in rx {
+                    while let Some(msg) = rx.recv() {
                         match &msg {
                             WorkerMsg::Rpc { .. } => {
                                 singles.fetch_add(1, Ordering::SeqCst);
