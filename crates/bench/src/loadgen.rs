@@ -1049,7 +1049,10 @@ pub struct CellResult {
     pub defense: String,
     /// Configured arrival rate (ops/s).
     pub target_rate: u64,
-    /// Ops completed in the measure window ÷ window length.
+    /// Measured ops ÷ the time from the end of warmup to the last
+    /// measured completion (at least the measure window), so a host
+    /// that cannot keep up reports what it served, not the offered
+    /// rate.
     pub achieved_rate: f64,
     /// Achieved rate in MQPS.
     pub mqps: f64,
@@ -1197,6 +1200,9 @@ struct ThreadOutcome {
     miss: Histogram,
     delayed: Histogram,
     measured: u64,
+    /// Completion time of the last measured op, µs after the thread's
+    /// start.
+    last_done_us: u64,
     total: u64,
     stats: ClientStats,
     tenant: TenantId,
@@ -1250,6 +1256,7 @@ pub fn run_cell(cfg: &LoadgenConfig) -> CellResult {
                 miss: Histogram::new(),
                 delayed: Histogram::new(),
                 measured: 0,
+                last_done_us: 0,
                 total: 0,
                 stats: ClientStats::default(),
                 tenant,
@@ -1329,6 +1336,7 @@ pub fn run_cell(cfg: &LoadgenConfig) -> CellResult {
                     let lat = done_us.saturating_sub(s.intended_us);
                     out.hist.record_n(lat, n_ops);
                     out.measured += n_ops;
+                    out.last_done_us = done_us;
                     match class {
                         Some(OpClass::Hit) => out.hit.record(lat),
                         Some(OpClass::Miss) => out.miss.record(lat),
@@ -1439,6 +1447,7 @@ pub fn run_cell(cfg: &LoadgenConfig) -> CellResult {
     let mut miss_hist = Histogram::new();
     let mut delayed_hist = Histogram::new();
     let mut measured = 0u64;
+    let mut last_done_us = 0u64;
     let mut total = 0u64;
     let mut client_counts = ClientCounts::default();
     // Per-tenant client-side aggregation (threads of one tenant merge).
@@ -1460,6 +1469,7 @@ pub fn run_cell(cfg: &LoadgenConfig) -> CellResult {
         miss_hist.merge(&out.miss);
         delayed_hist.merge(&out.delayed);
         measured += out.measured;
+        last_done_us = last_done_us.max(out.last_done_us);
         total += out.total;
         client_counts.gets += st.gets;
         client_counts.hits += st.hits;
@@ -1575,7 +1585,12 @@ pub fn run_cell(cfg: &LoadgenConfig) -> CellResult {
         })
         .collect();
 
-    let achieved_rate = measured as f64 / cfg.measure_secs.max(1e-9);
+    // Completed ops over the time it took to complete them: from the end
+    // of warmup to the last measured completion. A host that falls
+    // behind the schedule stretches the window past `measure_secs`; one
+    // that keeps up is charged the full window, never less.
+    let measure_window_secs = last_done_us.saturating_sub(warmup_us) as f64 / 1e6;
+    let achieved_rate = measured as f64 / measure_window_secs.max(cfg.measure_secs).max(1e-9);
     // Front-cache hits are served entirely client-side, so the wire
     // only ever sees `gets − front_hits` of the client's reads.
     let counts_reconciled = server_counts.gets + server_counts.replica_reads

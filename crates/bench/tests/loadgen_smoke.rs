@@ -1,6 +1,6 @@
-//! Loadgen smoke: the deterministic-seed replay guarantee and the exact
-//! client/server count reconciliation, end to end through the real
-//! stack. Kept small enough for tier-1 CI (~2 s wall).
+//! Loadgen smoke: the deterministic-seed replay guarantee, the exact
+//! client/server count reconciliation, and completed-op throughput, end
+//! to end through the real stack. Kept small enough for tier-1 CI (~2 s wall).
 
 use mbal_balancer::PhaseSet;
 use mbal_bench::loadgen::{
@@ -251,5 +251,26 @@ fn multi_tenant_run_reports_per_tenant_cells() {
     assert!(
         noisy.evictions > 0,
         "the noisy tenant must be thrashing: {noisy:?}"
+    );
+}
+
+#[test]
+fn an_overloaded_run_reports_the_rate_it_served() {
+    // Far past what the host serves: the run stretches well beyond its
+    // window, and the reported rate must say so instead of echoing the
+    // offered one.
+    let cfg = LoadgenConfig {
+        rate: 2_000_000,
+        warmup_secs: 0.02,
+        measure_secs: 0.1,
+        ..smoke_cfg()
+    };
+    let cell = run_cell(&cfg);
+    assert_eq!(cell.client.failures, 0, "no op may fail: {cell:?}");
+    assert!(
+        cell.achieved_rate < 0.9 * cfg.rate as f64,
+        "achieved {} of {} offered",
+        cell.achieved_rate,
+        cfg.rate
     );
 }

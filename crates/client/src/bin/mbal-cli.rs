@@ -103,6 +103,12 @@ fn main() {
         usage();
     }
 
+    // Worker w listens on port + w; the range must stay within u16.
+    if port.checked_add(workers.saturating_sub(1)).is_none() {
+        eprintln!("mbal-cli: --port {port} with --workers {workers} runs past port 65535");
+        usage();
+    }
+
     let mut ring = ConsistentRing::new();
     for w in 0..workers {
         ring.add_worker(WorkerAddr::new(0, w));

@@ -292,8 +292,8 @@ mod imp {
         pub hangup: bool,
     }
 
-    /// Unsupported on this platform; construction fails so callers fall
-    /// back to the threaded transport backend.
+    /// Unsupported on this platform: construction fails, so the TCP
+    /// server reports [`io::ErrorKind::Unsupported`] instead of serving.
     #[derive(Debug)]
     pub struct Poller {}
 
@@ -302,7 +302,7 @@ mod imp {
         pub fn new() -> io::Result<Poller> {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "epoll is Linux-only; use the threaded I/O backend",
+                "epoll is Linux-only; the MBal TCP server needs it",
             ))
         }
 

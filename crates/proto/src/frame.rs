@@ -8,7 +8,7 @@
 //!
 //! Validation mirrors the blocking reader byte for byte: the magic is
 //! checked as soon as a full header is buffered, and a body length past
-//! [`MAX_FRAME_LEN`](crate::codec::MAX_FRAME_LEN) is rejected *before*
+//! [`crate::codec::MAX_FRAME_LEN`] is rejected *before*
 //! any body bytes are awaited, so a hostile header can never make the
 //! server buffer gigabytes.
 

@@ -9,8 +9,7 @@
 //! ```text
 //! mbal-server [--workers N] [--port BASE] [--mem MB] [--cachelets N] [--epoch-ms MS]
 //!             [--engine slab|seg] [--metrics-port P] [--tenants SPEC] [--load-cap C]
-//!             [--io-backend event-loop|threaded] [--max-conns N] [--idle-timeout-ms MS]
-//!             [--membership on|off]
+//!             [--max-conns N] [--idle-timeout-ms MS] [--membership on|off]
 //! ```
 //!
 //! `--engine` selects the storage engine every worker runs: `slab`
@@ -41,13 +40,12 @@
 //! view exists. Single-node it is a one-member cluster; multi-server
 //! elasticity needs the shared-coordinator library deployment.
 //!
-//! `--io-backend` picks the connection-serving backend: `event-loop`
-//! (the default — one nonblocking epoll loop per worker multiplexing
-//! every connection) or `threaded` (one blocking thread per accepted
-//! connection). `--max-conns` caps open connections per worker under
-//! the event loop; `--idle-timeout-ms` reaps connections idle that
-//! long (0 disables reaping). Each flag defaults to its `MBAL_*`
-//! environment variable (`MBAL_IO_BACKEND`, `MBAL_MAX_CONNS_PER_WORKER`,
+//! Each worker's port is served by one nonblocking epoll loop
+//! multiplexing every connection (Linux only; elsewhere the server
+//! exits with an "unsupported" error). `--max-conns` caps open
+//! connections per worker; `--idle-timeout-ms` reaps connections idle
+//! that long (0 disables reaping). Each flag defaults to its `MBAL_*`
+//! environment variable (`MBAL_MAX_CONNS_PER_WORKER`,
 //! `MBAL_IDLE_TIMEOUT_MS`) when absent.
 
 use mbal_balancer::coordinator::Coordinator;
@@ -57,7 +55,7 @@ use mbal_core::engine::EngineKind;
 use mbal_core::types::{ServerId, WorkerAddr};
 use mbal_ring::{ConsistentRing, MappingTable};
 use mbal_server::tcp::serve_tcp_with;
-use mbal_server::{InProcRegistry, IoBackend, Server, ServerConfig};
+use mbal_server::{InProcRegistry, Server, ServerConfig};
 use mbal_tenant::TenantDirectory;
 use std::sync::Arc;
 
@@ -99,13 +97,6 @@ fn main() {
 
     // I/O flags layer over the MBAL_* environment defaults (already
     // folded into the builder's starting config).
-    let io_backend = match arg::<String>("--io-backend", String::new()).as_str() {
-        "" => None,
-        s => Some(IoBackend::parse(s).unwrap_or_else(|| {
-            eprintln!("mbal-server: unknown io backend {s:?} (expected event-loop|threaded)");
-            std::process::exit(2);
-        })),
-    };
     let max_conns: usize = arg("--max-conns", 0);
     let idle_timeout_ms: i64 = arg("--idle-timeout-ms", -1);
     let membership = match arg::<String>("--membership", "off".into()).as_str() {
@@ -141,9 +132,6 @@ fn main() {
     if metrics_port != 0 {
         builder = builder.metrics_port(Some(metrics_port));
     }
-    if let Some(backend) = io_backend {
-        builder = builder.io_backend(backend);
-    }
     if max_conns != 0 {
         builder = builder.max_conns_per_worker(max_conns);
     }
@@ -166,7 +154,7 @@ fn main() {
     let bound = match serve_tcp_with(&server.worker_mailboxes(), "0.0.0.0", port, io.clone()) {
         Ok(b) => b,
         Err(e) => {
-            eprintln!("mbal-server: failed to bind on port {port}: {e}");
+            eprintln!("mbal-server: cannot serve from port {port}: {e}");
             std::process::exit(1);
         }
     };
@@ -183,13 +171,10 @@ fn main() {
     if membership {
         println!("  membership: on (cluster-status view published each epoch)");
     }
-    match io.backend {
-        IoBackend::EventLoop => println!(
-            "  io: event loop, up to {} connections/worker",
-            io.max_conns_per_worker
-        ),
-        IoBackend::Threaded => println!("  io: thread per connection"),
-    }
+    println!(
+        "  io: event loop, up to {} connections/worker",
+        io.max_conns_per_worker
+    );
     for (addr, sock) in &bound {
         println!("  worker {addr} listening on {sock}");
     }

@@ -8,41 +8,15 @@ use mbal_core::types::ServerId;
 use mbal_tenant::TenantDirectory;
 use std::time::Duration;
 
-/// How accepted connections are served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoBackend {
-    /// One nonblocking event loop per worker multiplexing every
-    /// connection on that worker's port (epoll; Linux). Thread count is
-    /// bounded by the worker count, not the connection count.
-    #[default]
-    EventLoop,
-    /// One blocking framing thread per accepted connection (the
-    /// pre-event-loop behaviour, and the fallback off Linux).
-    Threaded,
-}
-
-impl IoBackend {
-    /// Parses `"event-loop"` / `"threaded"` (case-insensitive).
-    pub fn parse(s: &str) -> Option<IoBackend> {
-        match s.to_ascii_lowercase().as_str() {
-            "event-loop" | "eventloop" | "epoll" => Some(IoBackend::EventLoop),
-            "threaded" | "thread" => Some(IoBackend::Threaded),
-            _ => None,
-        }
-    }
-}
-
 /// Transport I/O knobs, applied per worker listener.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoConfig {
-    /// Connection-serving strategy.
-    pub backend: IoBackend,
     /// Open-connection cap per worker; connections accepted past the
     /// cap are closed immediately (accept-and-close sheds load without
     /// letting the backlog grow unbounded).
     pub max_conns_per_worker: usize,
     /// Reap connections idle longer than this (no reads, no pending
-    /// work). `None` disables reaping. Event-loop backend only.
+    /// work). `None` disables reaping.
     pub idle_timeout: Option<Duration>,
     /// Read timeout on client-side cast-pump connections; a timed-out
     /// shadow counts a transport-timeout telemetry tick and drops the
@@ -53,7 +27,6 @@ pub struct IoConfig {
 impl Default for IoConfig {
     fn default() -> Self {
         Self {
-            backend: IoBackend::default(),
             max_conns_per_worker: 4096,
             idle_timeout: Some(Duration::from_secs(60)),
             cast_read_timeout: Duration::from_secs(1),
@@ -62,19 +35,11 @@ impl Default for IoConfig {
 }
 
 impl IoConfig {
-    /// Defaults overlaid with environment overrides: `MBAL_IO_BACKEND`
-    /// (`event-loop`|`threaded`), `MBAL_MAX_CONNS_PER_WORKER`,
-    /// `MBAL_IDLE_TIMEOUT_MS` (`0` disables reaping), and
-    /// `MBAL_CAST_TIMEOUT_MS`.
+    /// Defaults overlaid with environment overrides:
+    /// `MBAL_MAX_CONNS_PER_WORKER`, `MBAL_IDLE_TIMEOUT_MS` (`0`
+    /// disables reaping), and `MBAL_CAST_TIMEOUT_MS`.
     pub fn from_env() -> Self {
         let mut io = Self::default();
-        if let Some(b) = std::env::var("MBAL_IO_BACKEND")
-            .ok()
-            .as_deref()
-            .and_then(IoBackend::parse)
-        {
-            io.backend = b;
-        }
         if let Some(n) = env_u64("MBAL_MAX_CONNS_PER_WORKER") {
             io.max_conns_per_worker = (n as usize).max(1);
         }
@@ -132,9 +97,9 @@ pub struct ServerConfig {
     /// every cache unit to per-tenant inner engines with quota
     /// enforcement and epoch-driven memory arbitration.
     pub tenants: TenantDirectory,
-    /// Transport I/O knobs (serving backend, connection cap, idle
-    /// reaping, cast timeout). Defaults come from [`IoConfig::from_env`]
-    /// so deployments can flip the backend without touching call sites.
+    /// Transport I/O knobs (connection cap, idle reaping, cast
+    /// timeout). Defaults come from [`IoConfig::from_env`] so
+    /// deployments can tune them without touching call sites.
     pub io: IoConfig,
     /// Port for the Prometheus-style metrics endpoint; `None` leaves
     /// the endpoint unserved. Defaults to the `MBAL_METRICS_PORT`
@@ -299,12 +264,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Sets the connection-serving backend.
-    pub fn io_backend(mut self, backend: IoBackend) -> Self {
-        self.cfg.io.backend = backend;
-        self
-    }
-
     /// Sets the per-worker open-connection cap.
     pub fn max_conns_per_worker(mut self, n: usize) -> Self {
         self.cfg.io.max_conns_per_worker = n.max(1);
@@ -386,7 +345,6 @@ mod tests {
             .membership(true)
             .sync_replication(false)
             .metrics_port(Some(9100))
-            .io_backend(IoBackend::Threaded)
             .max_conns_per_worker(128)
             .idle_timeout(Some(Duration::from_secs(5)))
             .cast_read_timeout(Duration::from_millis(200))
@@ -400,7 +358,6 @@ mod tests {
         assert!(c.membership);
         assert!(!c.sync_replication);
         assert_eq!(c.metrics_port, Some(9100));
-        assert_eq!(c.io.backend, IoBackend::Threaded);
         assert_eq!(c.io.max_conns_per_worker, 128);
         assert_eq!(c.io.idle_timeout, Some(Duration::from_secs(5)));
         assert_eq!(c.io.cast_read_timeout, Duration::from_millis(200));
@@ -416,13 +373,5 @@ mod tests {
         assert_eq!(b.cachelets_per_worker, n.cachelets_per_worker);
         assert_eq!(b.io, n.io);
         assert_eq!(b.worker_load_capacity, n.worker_load_capacity);
-    }
-
-    #[test]
-    fn io_backend_parses_flag_spellings() {
-        assert_eq!(IoBackend::parse("event-loop"), Some(IoBackend::EventLoop));
-        assert_eq!(IoBackend::parse("EPOLL"), Some(IoBackend::EventLoop));
-        assert_eq!(IoBackend::parse("threaded"), Some(IoBackend::Threaded));
-        assert_eq!(IoBackend::parse("uring"), None);
     }
 }

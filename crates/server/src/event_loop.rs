@@ -1,13 +1,12 @@
-//! Nonblocking event-loop transport: one poll loop per worker
-//! multiplexing every connection on that worker's port.
+//! The TCP server: one nonblocking poll loop per worker multiplexing
+//! every connection on that worker's port.
 //!
-//! The original transport spawned a blocking framing thread per
-//! accepted connection, so a worker serving 10k mostly-idle clients
-//! carried 10k stacks. Here each worker owns a single loop thread
-//! parked in `epoll_wait` over its listener, a waker pipe, and all of
-//! its connections; per-connection state shrinks from a thread to a
-//! [`Conn`]: a [`FrameDecoder`] reassembling pipelined request frames
-//! from arbitrary reads, and an outbound queue of reference-counted
+//! Each worker owns a single loop thread parked in `epoll_wait` over
+//! its listener, a waker pipe, and all of its connections, so the
+//! server's thread count is bounded by the worker count, not the
+//! connection count. Per-connection state is a `Conn`: a
+//! [`FrameDecoder`] reassembling pipelined request frames from
+//! arbitrary reads, and an outbound queue of reference-counted
 //! [`Bytes`] fragments flushed with vectored writes.
 //!
 //! ## Zero-copy response path
@@ -87,8 +86,7 @@ impl LoopWaker {
     }
 }
 
-/// Per-connection state: everything the old per-connection thread kept
-/// on its stack, in ~200 bytes plus buffers.
+/// Per-connection state: ~200 bytes plus buffers.
 struct Conn {
     stream: TcpStream,
     /// Reassembles request frames from arbitrary read chunks.
@@ -135,83 +133,118 @@ enum Verdict {
     Drop,
 }
 
-/// Runs one worker's event loop until the process exits (mirroring the
-/// listener threads of the threaded backend). Fails fast with
-/// [`ErrorKind::Unsupported`] on platforms without epoll so the caller
-/// can fall back to the threaded backend.
-pub(crate) fn run(
-    listener: &TcpListener,
+/// One worker's event loop. [`EventLoop::new`] does every fallible step
+/// on the caller's thread, so [`crate::tcp::serve_tcp`] can build all
+/// loops before it starts any.
+pub(crate) struct EventLoop {
+    listener: TcpListener,
+    poller: Poller,
+    waker: Arc<LoopWaker>,
+    waker_rx: UnixStream,
     worker: Mailbox<WorkerMsg>,
     cfg: IoConfig,
-) -> std::io::Result<()> {
-    let poller = Poller::new()?;
-    listener.set_nonblocking(true)?;
-    let (waker, waker_rx) = LoopWaker::pair()?;
-    let (done_tx, done_rx) = crossbeam_channel::unbounded::<(RpcTag, Vec<Response>)>();
-    poller.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
-    poller.add(waker_rx.as_raw_fd(), WAKER, Interest::READ)?;
+}
 
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token = FIRST_CONN;
-    let mut events: Vec<PollEvent> = Vec::new();
-    // Sweep cadence: half the idle timeout, clamped to [10ms, 1s], so a
-    // connection overstays by at most 50%.
-    let wait_ms = cfg
-        .idle_timeout
-        .map(|t| (t.as_millis() / 2).clamp(10, 1000) as i32)
-        .unwrap_or(1000);
+impl EventLoop {
+    /// Builds the loop for `listener`: poller, nonblocking listener,
+    /// waker pair, registrations. Fails with [`ErrorKind::Unsupported`]
+    /// on platforms without epoll.
+    pub(crate) fn new(
+        listener: TcpListener,
+        worker: Mailbox<WorkerMsg>,
+        cfg: IoConfig,
+    ) -> std::io::Result<EventLoop> {
+        let poller = Poller::new()?;
+        listener.set_nonblocking(true)?;
+        let (waker, waker_rx) = LoopWaker::pair()?;
+        poller.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
+        poller.add(waker_rx.as_raw_fd(), WAKER, Interest::READ)?;
+        Ok(EventLoop {
+            listener,
+            poller,
+            waker,
+            waker_rx,
+            worker,
+            cfg,
+        })
+    }
 
-    loop {
-        events.clear();
-        poller.wait(&mut events, wait_ms)?;
-        let now = Instant::now();
+    /// Serves the worker's port until the process exits.
+    pub(crate) fn run(self) -> ! {
+        let (done_tx, done_rx) = crossbeam_channel::unbounded::<(RpcTag, Vec<Response>)>();
+        let mut conns: HashMap<u64, Conn> = HashMap::new();
+        let mut next_token = FIRST_CONN;
+        let mut events: Vec<PollEvent> = Vec::new();
+        // Sweep cadence: half the idle timeout, clamped to [10ms, 1s], so a
+        // connection overstays by at most 50%.
+        let wait_ms = self
+            .cfg
+            .idle_timeout
+            .map(|t| (t.as_millis() / 2).clamp(10, 1000) as i32)
+            .unwrap_or(1000);
 
-        for ev in &events {
-            match ev.token {
-                LISTENER => accept_ready(listener, &poller, &cfg, &mut conns, &mut next_token, now),
-                WAKER => drain_waker(&waker_rx),
-                token => {
-                    let Some(conn) = conns.get_mut(&token) else {
-                        continue;
-                    };
-                    let mut verdict = if ev.hangup {
-                        Verdict::Drop
-                    } else {
-                        Verdict::Keep
-                    };
-                    if verdict == Verdict::Keep && ev.readable {
-                        verdict = on_readable(conn, token, &worker, &done_tx, &waker, now);
-                        // A protocol-error frame queued during decode has
-                        // no completion coming to flush it — push it out
-                        // now or the peer waits forever.
-                        if verdict == Verdict::Keep && !conn.out.is_empty() && !conn.wants_write {
-                            verdict = flush(conn, &poller, token, now);
+        loop {
+            events.clear();
+            // EINTR comes back as an empty wait; nothing else can fail.
+            self.poller.wait(&mut events, wait_ms).expect("epoll_wait");
+            let now = Instant::now();
+
+            for ev in &events {
+                match ev.token {
+                    LISTENER => accept_ready(
+                        &self.listener,
+                        &self.poller,
+                        &self.cfg,
+                        &mut conns,
+                        &mut next_token,
+                        now,
+                    ),
+                    WAKER => drain_waker(&self.waker_rx),
+                    token => {
+                        let Some(conn) = conns.get_mut(&token) else {
+                            continue;
+                        };
+                        let mut verdict = if ev.hangup {
+                            Verdict::Drop
+                        } else {
+                            Verdict::Keep
+                        };
+                        if verdict == Verdict::Keep && ev.readable {
+                            verdict =
+                                on_readable(conn, token, &self.worker, &done_tx, &self.waker, now);
+                            // A protocol-error frame queued during decode has
+                            // no completion coming to flush it — push it out
+                            // now or the peer waits forever.
+                            if verdict == Verdict::Keep && !conn.out.is_empty() && !conn.wants_write
+                            {
+                                verdict = flush(conn, &self.poller, token, now);
+                            }
                         }
-                    }
-                    if verdict == Verdict::Keep && ev.writable {
-                        verdict = flush(conn, &poller, token, now);
-                    }
-                    if verdict == Verdict::Drop {
-                        drop_conn(&poller, &mut conns, token);
+                        if verdict == Verdict::Keep && ev.writable {
+                            verdict = flush(conn, &self.poller, token, now);
+                        }
+                        if verdict == Verdict::Drop {
+                            drop_conn(&self.poller, &mut conns, token);
+                        }
                     }
                 }
             }
-        }
 
-        // Completions can land whether or not the waker event was seen
-        // this round; always drain.
-        while let Ok((tag, resps)) = done_rx.try_recv() {
-            let token = tag.conn;
-            let Some(conn) = conns.get_mut(&token) else {
-                continue; // connection died while the batch was in flight
-            };
-            if on_complete(conn, &poller, token, tag, resps, now) == Verdict::Drop {
-                drop_conn(&poller, &mut conns, token);
+            // Completions can land whether or not the waker event was seen
+            // this round; always drain.
+            while let Ok((tag, resps)) = done_rx.try_recv() {
+                let token = tag.conn;
+                let Some(conn) = conns.get_mut(&token) else {
+                    continue; // connection died while the batch was in flight
+                };
+                if on_complete(conn, &self.poller, token, tag, resps, now) == Verdict::Drop {
+                    drop_conn(&self.poller, &mut conns, token);
+                }
             }
-        }
 
-        if let Some(idle) = cfg.idle_timeout {
-            reap_idle(&poller, &mut conns, idle, now);
+            if let Some(idle) = self.cfg.idle_timeout {
+                reap_idle(&self.poller, &mut conns, idle, now);
+            }
         }
     }
 }
@@ -299,9 +332,8 @@ fn on_readable(
             }
             Ok(None) => break,
             Err(e) => {
-                // Same contract as the blocking path: answer with a
-                // protocol error, then close. The stream cannot be
-                // resynchronised past a malformed header.
+                // Answer with a protocol error, then close. The stream
+                // cannot be resynchronised past a malformed header.
                 queue_protocol_error(conn, &e.to_string());
                 conn.closing = true;
             }
@@ -311,7 +343,7 @@ fn on_readable(
 }
 
 /// Decodes one frame and enqueues it as a tagged batch. Decode errors
-/// answer a protocol error and start closing, like the blocking path.
+/// answer a protocol error and start closing.
 fn dispatch(
     conn: &mut Conn,
     token: u64,

@@ -24,10 +24,9 @@
 //! - [`tcp`] — the TCP transport: one listening port per worker (§2.3),
 //!   frames encoded by `mbal-proto`, pooled connections, pipelined
 //!   batch envelopes (one flush per batch) and bounded connect retry.
-//! - [`event_loop`] — the default server-side I/O backend: one
-//!   nonblocking epoll loop per worker multiplexing every connection,
-//!   with zero-copy [`bytes::Bytes`] response fragments flushed via
-//!   vectored writes.
+//! - [`event_loop`] — the TCP server: one nonblocking epoll loop per
+//!   worker multiplexing every connection, with zero-copy
+//!   [`bytes::Bytes`] response fragments flushed via vectored writes.
 //! - [`server`] — [`server::Server`]: spawns workers, runs the balance
 //!   epoch loop, executes Phase 1/2/3 actions, and performs coordinated
 //!   per-bucket migration with the coordinator.
@@ -53,7 +52,7 @@ pub mod transport;
 pub mod unit;
 pub mod worker;
 
-pub use config::{IoBackend, IoConfig, ServerConfig, ServerConfigBuilder};
+pub use config::{IoConfig, ServerConfig, ServerConfigBuilder};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use metrics_http::serve_metrics_http;
 pub use server::Server;

@@ -2,28 +2,26 @@
 //!
 //! "We associate a TCP/UDP port with each cache server worker thread so
 //! that clients can directly interact with workers without any
-//! centralized component." Each worker gets its own listener. By
-//! default ([`IoBackend::EventLoop`]) the listener and all of its
-//! connections are multiplexed on one nonblocking poll loop per worker
-//! (see [`crate::event_loop`]); the legacy [`IoBackend::Threaded`]
-//! backend — one blocking framing thread per accepted connection — is
-//! retained as a config option and as the automatic fallback on
-//! platforms without epoll.
+//! centralized component." [`serve_tcp`] gives each worker its own
+//! listener, served by one nonblocking poll loop that multiplexes every
+//! connection on that port (see [`crate::event_loop`]).
+//! [`TcpTransport`] is the client side: pooled connections, per-call
+//! deadlines and a cast pump.
 //!
 //! Batches travel as one [`codec::Opcode::Batch`] envelope per
 //! direction-in, and as pipelined individual response frames (written in
 //! a single flush) direction-out, so a connection drop mid-batch still
 //! yields per-operation outcomes via opaque correlation.
 
-use crate::config::{IoBackend, IoConfig};
-use crate::event_loop;
+use crate::config::IoConfig;
+use crate::event_loop::EventLoop;
 use crate::mailbox::Mailbox;
 use crate::messages::WorkerMsg;
 use crate::transport::{batch_errs, Transport, TransportError, DEFAULT_DEADLINE};
-use crossbeam_channel::{bounded, Receiver, Sender};
+use crossbeam_channel::{Receiver, Sender};
 use mbal_core::types::WorkerAddr;
-use mbal_proto::codec::{self, opcode_of, HEADER_LEN};
-use mbal_proto::{Request, Response, Status};
+use mbal_proto::codec::{self, HEADER_LEN};
+use mbal_proto::{Request, Response};
 use mbal_telemetry::{Counter, MetricsShard, MetricsSnapshot};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -40,12 +38,13 @@ const RETRY_BACKOFF: Duration = Duration::from_millis(10);
 /// Per-operation results of a batch exchange.
 type BatchOutcome = Vec<Result<Response, TransportError>>;
 
-/// Reads one length-framed protocol frame. Returns `Ok(None)` on a clean
-/// EOF at a frame boundary. Malformed headers (bad magic, or a body
-/// length past [`codec::MAX_FRAME_LEN`]) surface as
-/// [`ErrorKind::InvalidData`] rather than a panic or a multi-gigabyte
-/// allocation, so one hostile byte stream can never take down a framing
-/// thread or the worker behind it.
+/// Reads one length-framed protocol frame off a blocking stream; the
+/// client reads its responses with it. Returns `Ok(None)` on a clean
+/// EOF at a frame boundary.
+/// Malformed headers (bad magic, or a body length past
+/// [`codec::MAX_FRAME_LEN`]) surface as [`ErrorKind::InvalidData`]
+/// rather than a panic or a multi-gigabyte allocation, so a broken or
+/// hostile server can never take down the client.
 fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; HEADER_LEN];
     match stream.read_exact(&mut header) {
@@ -83,112 +82,10 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
     Ok(Some(frame))
 }
 
-/// Best-effort `Fail` response describing a protocol error; the caller
-/// drops the connection right after (resynchronising a byte stream past
-/// a malformed frame is guesswork).
-fn send_protocol_error(stream: &mut TcpStream, message: &str) {
-    let resp = Response::Fail {
-        status: Status::Error,
-        message: message.to_string(),
-    };
-    if let Ok(bytes) = codec::encode_response(&resp, codec::Opcode::Stats, 0) {
-        let _ = stream.write_all(&bytes);
-    }
-}
-
-/// Serves one decoded batch: a single mailbox enqueue, then one response
-/// frame per sub-request — all encoded into one buffer and flushed with
-/// a single write. Returns `false` when the connection or worker is gone.
-fn serve_batch(
-    stream: &mut TcpStream,
-    worker: &Mailbox<WorkerMsg>,
-    subs: Vec<(Request, u32)>,
-) -> bool {
-    let mut opcodes = Vec::with_capacity(subs.len());
-    let mut opaques = Vec::with_capacity(subs.len());
-    let mut reqs = Vec::with_capacity(subs.len());
-    for (req, opaque) in subs {
-        opcodes.push(opcode_of(&req));
-        opaques.push(opaque);
-        reqs.push(req);
-    }
-    let (rtx, rrx) = bounded(1);
-    if worker
-        .send(WorkerMsg::RpcBatch { reqs, reply: rtx })
-        .is_err()
-    {
-        return false;
-    }
-    let Ok(resps) = rrx.recv() else {
-        return false;
-    };
-    let mut out = Vec::new();
-    for (i, resp) in resps.iter().enumerate().take(opcodes.len()) {
-        match codec::encode_response(resp, opcodes[i], opaques[i]) {
-            Ok(bytes) => out.extend_from_slice(&bytes),
-            Err(_) => return false,
-        }
-    }
-    stream.write_all(&out).is_ok()
-}
-
-/// Serves one accepted connection against a worker mailbox.
-fn serve_connection(mut stream: TcpStream, worker: Mailbox<WorkerMsg>) {
-    stream.set_nodelay(true).ok();
-    loop {
-        let frame = match read_frame(&mut stream) {
-            Ok(Some(f)) => f,
-            Ok(None) => return,
-            Err(e) if e.kind() == ErrorKind::InvalidData => {
-                send_protocol_error(&mut stream, &e.to_string());
-                return;
-            }
-            Err(_) => return,
-        };
-        if codec::is_batch(&frame) {
-            match codec::decode_batch_request(&frame) {
-                Ok(subs) => {
-                    if !serve_batch(&mut stream, &worker, subs) {
-                        return;
-                    }
-                }
-                Err(e) => {
-                    send_protocol_error(&mut stream, &e.to_string());
-                    return;
-                }
-            }
-            continue;
-        }
-        let (resp, opcode, opaque) = match codec::decode_request(&frame) {
-            Ok((req, opaque)) => {
-                let opcode = opcode_of(&req);
-                let (rtx, rrx) = bounded(1);
-                if worker.send(WorkerMsg::Rpc { req, reply: rtx }).is_err() {
-                    return;
-                }
-                match rrx.recv() {
-                    Ok(resp) => (resp, opcode, opaque),
-                    Err(_) => return,
-                }
-            }
-            Err(e) => {
-                send_protocol_error(&mut stream, &e.to_string());
-                return;
-            }
-        };
-        let Ok(bytes) = codec::encode_response(&resp, opcode, opaque) else {
-            return;
-        };
-        if stream.write_all(&bytes).is_err() {
-            return;
-        }
-    }
-}
-
 /// Binds one listener per worker on consecutive ports starting at
 /// `base_port` (0 picks ephemeral ports) and returns the bound
-/// addresses, serving with the default I/O configuration (event loop,
-/// environment-overridable). Serving threads run until the process
+/// addresses, serving with the default I/O configuration
+/// (environment-overridable). Serving threads run until the process
 /// exits.
 pub fn serve_tcp(
     workers: &[(WorkerAddr, Mailbox<WorkerMsg>)],
@@ -198,29 +95,36 @@ pub fn serve_tcp(
     serve_tcp_with(workers, host, base_port, IoConfig::from_env())
 }
 
-/// [`serve_tcp`] with explicit I/O knobs: serving backend, per-worker
-/// connection cap, and idle-connection reaping.
+/// [`serve_tcp`] with explicit I/O knobs: per-worker connection cap and
+/// idle-connection reaping.
 ///
-/// Under [`IoBackend::EventLoop`] each worker gets exactly one loop
-/// thread multiplexing every connection on its port, so the server's
-/// thread count is bounded by the worker count regardless of how many
-/// clients connect. Under [`IoBackend::Threaded`] (or when epoll is
-/// unavailable) each accepted connection gets a blocking framing
-/// thread, as before.
+/// All or nothing: every listener is bound and every worker's event
+/// loop built on the caller's thread before any loop thread starts, so
+/// on error nothing is left listening. A port range past 65535 fails
+/// with [`ErrorKind::InvalidInput`] before anything is bound; a host
+/// without epoll fails with [`ErrorKind::Unsupported`].
 pub fn serve_tcp_with(
     workers: &[(WorkerAddr, Mailbox<WorkerMsg>)],
     host: &str,
     base_port: u16,
     io: IoConfig,
 ) -> std::io::Result<Vec<(WorkerAddr, SocketAddr)>> {
-    // Accept storms under the event loop are bounded by the connection
-    // cap, not the thread count; make sure the fd table keeps up.
-    if io.backend == IoBackend::EventLoop {
-        let want = workers.len() as u64 * io.max_conns_per_worker as u64 + 64;
-        mbal_netpoll::raise_nofile_limit(want).ok();
+    let last = u16::try_from(workers.len().saturating_sub(1)).unwrap_or(u16::MAX);
+    if base_port != 0 && base_port.checked_add(last).is_none() {
+        let msg = format!(
+            "{} workers from port {base_port} run past 65535",
+            workers.len()
+        );
+        return Err(std::io::Error::new(ErrorKind::InvalidInput, msg));
     }
-    let mut bound = Vec::new();
-    for (i, (addr, tx)) in workers.iter().enumerate() {
+    // Accept storms are bounded by the connection cap, not the thread
+    // count; make sure the fd table keeps up.
+    let want = workers.len() as u64 * io.max_conns_per_worker as u64 + 64;
+    mbal_netpoll::raise_nofile_limit(want).ok();
+    let mut bound = Vec::with_capacity(workers.len());
+    let mut loops = Vec::with_capacity(workers.len());
+    for (i, (addr, mailbox)) in workers.iter().enumerate() {
+        // Base port 0 gives every worker an ephemeral port.
         let port = if base_port == 0 {
             0
         } else {
@@ -228,44 +132,15 @@ pub fn serve_tcp_with(
         };
         let listener = TcpListener::bind((host, port))?;
         bound.push((*addr, listener.local_addr()?));
-        let tx = tx.clone();
-        let cfg = io.clone();
+        loops.push(EventLoop::new(listener, mailbox.clone(), io.clone())?);
+    }
+    for ((addr, _), event_loop) in bound.iter().zip(loops) {
         std::thread::Builder::new()
             .name(format!("mbal-tcp-{addr}"))
-            .spawn(move || {
-                if cfg.backend == IoBackend::EventLoop {
-                    match event_loop::run(&listener, tx.clone(), cfg) {
-                        // The loop only returns on an unrecoverable
-                        // poller error; Unsupported never reaches here
-                        // because construction is the first fallible
-                        // step, so fall through to the threaded backend.
-                        Err(e) if e.kind() == ErrorKind::Unsupported => {}
-                        _ => return,
-                    }
-                    // `event_loop::run` flipped the listener
-                    // nonblocking before failing; undo for the
-                    // blocking accept loop.
-                    // (Unreachable on Linux: Poller::new is the first
-                    // fallible step and epoll is always present.)
-                    #[allow(unused_must_use)]
-                    {
-                        listener.set_nonblocking(false);
-                    }
-                }
-                serve_threaded(listener, tx);
-            })
-            .expect("spawn listener thread");
+            .spawn(move || event_loop.run())
+            .expect("spawn event-loop thread");
     }
     Ok(bound)
-}
-
-/// The legacy backend: a blocking framing thread per accepted
-/// connection.
-fn serve_threaded(listener: TcpListener, tx: Mailbox<WorkerMsg>) {
-    for conn in listener.incoming().flatten() {
-        let tx = tx.clone();
-        std::thread::spawn(move || serve_connection(conn, tx));
-    }
 }
 
 /// Maps an I/O failure to a transport error, classifying read/write
@@ -663,6 +538,8 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use mbal_core::types::CacheletId;
+    use mbal_proto::codec::opcode_of;
+    use mbal_proto::Status;
 
     /// A loopback worker that stores into a HashMap (protocol-level test
     /// without the full server). Handles both single RPCs and batches.
@@ -946,5 +823,33 @@ mod tests {
             Duration::from_millis(50),
         );
         assert_eq!(out, Err(TransportError::Timeout(worker)));
+    }
+
+    #[test]
+    fn a_port_range_past_65535_is_refused_before_binding() {
+        let workers: Vec<_> = (0..2)
+            .map(|w| (WorkerAddr::new(0, w), Mailbox::new()))
+            .collect();
+        let err = serve_tcp(&workers, "127.0.0.1", u16::MAX).expect_err("range overflows u16");
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn a_failed_bind_leaves_no_worker_listening() {
+        let workers: Vec<_> = (0..2)
+            .map(|w| (WorkerAddr::new(0, w), Mailbox::new()))
+            .collect();
+        // Find two consecutive free ports P and P+1, then hold P+1.
+        let (base, _blocker) = (0..64)
+            .find_map(|_| {
+                let probe = TcpListener::bind(("127.0.0.1", 0)).ok()?;
+                let p = probe.local_addr().ok()?.port().checked_add(1)?;
+                let blocker = TcpListener::bind(("127.0.0.1", p)).ok()?;
+                Some((p - 1, blocker))
+            })
+            .expect("two consecutive free ports");
+        assert!(serve_tcp(&workers, "127.0.0.1", base).is_err());
+        // Worker 0's listener must have closed with the failed call.
+        TcpListener::bind(("127.0.0.1", base)).expect("base port is free again");
     }
 }

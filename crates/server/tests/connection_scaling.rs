@@ -15,7 +15,7 @@ use mbal_proto::{Request, Response, Status};
 use mbal_server::mailbox::Mailbox;
 use mbal_server::messages::WorkerMsg;
 use mbal_server::tcp::serve_tcp_with;
-use mbal_server::{IoBackend, IoConfig};
+use mbal_server::IoConfig;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -85,7 +85,6 @@ fn one_worker_sustains_1k_idle_connections_with_bounded_threads() {
 
     let worker = spawn_worker();
     let io = IoConfig {
-        backend: IoBackend::EventLoop,
         max_conns_per_worker: CONNS + 64,
         idle_timeout: None,
         ..IoConfig::default()
