@@ -11,16 +11,16 @@
 //!
 //! ## Zero-copy response path
 //!
-//! Decoded requests are enqueued to the worker as
-//! [`WorkerMsg::RpcTagged`]; the worker's reply travels back over the
-//! loop's completion channel, and the worker rings the [`LoopWaker`] to
-//! pop the loop out of `epoll_wait`. Responses are encoded with
-//! [`codec::encode_response_frags`], which keeps each value payload as
-//! a refcount-bumped [`Bytes`] clone of the engine's own buffer —
-//! header and metadata are owned fragments, values are borrowed ones —
-//! and the flush hands every fragment to `writev` via [`IoSlice`]. A
-//! cached value is therefore never memcpy'd between the engine's
-//! return and the kernel.
+//! Each decoded frame is enqueued to the worker as one
+//! [`WorkerMsg::Rpc`] whose completion, run on the worker's thread,
+//! pushes the responses onto the loop's completion channel and rings
+//! the loop's waker pipe to pop it out of `epoll_wait`. Responses are
+//! encoded with [`codec::encode_response_frags`], which keeps each
+//! value payload as a refcount-bumped [`Bytes`] clone of the engine's
+//! own buffer — header and metadata are owned fragments, values are
+//! borrowed ones — and the flush hands every fragment to `writev` via
+//! [`IoSlice`]. A cached value is therefore never memcpy'd between the
+//! engine's return and the kernel.
 //!
 //! ## Ordering
 //!
@@ -31,11 +31,11 @@
 
 use crate::config::IoConfig;
 use crate::mailbox::Mailbox;
-use crate::messages::{RpcTag, WorkerMsg};
+use crate::messages::WorkerMsg;
 use bytes::Bytes;
 use crossbeam_channel::Sender;
 use mbal_netpoll::{Interest, PollEvent, Poller};
-use mbal_proto::codec::{self, opcode_of};
+use mbal_proto::codec::{self, opcode_of, Opcode};
 use mbal_proto::{FrameDecoder, Request, Response, Status};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -57,6 +57,17 @@ const READ_BUF: usize = 64 * 1024;
 /// 1024; staying well under keeps the syscall cheap).
 const MAX_IOVECS: usize = 64;
 
+/// Correlates a completed batch back to the connection (and wire frames)
+/// it came from, so the loop needs no in-flight bookkeeping beyond a
+/// per-connection count.
+struct RpcTag {
+    /// Event-loop token of the originating connection.
+    conn: u64,
+    /// `(request opcode, wire opaque)` per request, in order: exactly
+    /// what response encoding needs.
+    meta: Vec<(Opcode, u32)>,
+}
+
 /// Wakes an event loop parked in `epoll_wait`.
 ///
 /// The worker thread holds the write end of a socketpair; the loop
@@ -65,8 +76,7 @@ const MAX_IOVECS: usize = 64;
 /// nonblocking: if the pipe buffer is full, enough wake bytes are
 /// already pending that the loop is guaranteed to wake without this
 /// one.
-#[derive(Debug)]
-pub struct LoopWaker {
+struct LoopWaker {
     tx: UnixStream,
 }
 
@@ -81,7 +91,7 @@ impl LoopWaker {
 
     /// Rings the loop. Never blocks; a full pipe already guarantees a
     /// pending wakeup.
-    pub fn wake(&self) {
+    fn wake(&self) {
         let _ = (&self.tx).write(&[1u8]);
     }
 }
@@ -380,13 +390,13 @@ fn dispatch(
             }
         }
     };
-    let msg = WorkerMsg::RpcTagged {
-        reqs,
-        tag: RpcTag { conn: token, meta },
-        reply: done_tx.clone(),
-        notify: waker.clone(),
-    };
-    if worker.send(msg).is_err() {
+    let tag = RpcTag { conn: token, meta };
+    let (done_tx, waker) = (done_tx.clone(), Arc::clone(waker));
+    let done = Box::new(move |resps| {
+        let _ = done_tx.send((tag, resps));
+        waker.wake();
+    });
+    if worker.send(WorkerMsg::Rpc { reqs, done }).is_err() {
         return Verdict::Drop; // worker is gone; nothing to serve
     }
     conn.pending += 1;

@@ -9,8 +9,9 @@
 //!   migration really is an ownership handoff between threads (a pointer
 //!   move through a mailbox), with zero data copying — the paper's
 //!   "near-zero cost" Phase 2 mechanism.
-//! - [`messages`] — the worker mailbox protocol: client RPCs plus the
-//!   control plane (epoch ticks, adopt/release, per-bucket migration).
+//! - [`messages`] — the worker mailbox protocol: RPC batches that carry
+//!   their completion, and control-plane steps (epoch ticks,
+//!   adopt/release, per-bucket migration) run against the worker.
 //! - [`mailbox`] — the many-producer, one-consumer worker inbox.
 //! - [`worker`] — the worker event loop: GET/SET/DELETE over owned
 //!   cachelets, the shadow-side replica table, hot-key sampling, and

@@ -19,11 +19,10 @@
 
 use crate::config::ServerConfig;
 use crate::mailbox::Mailbox;
-use crate::messages::{Control, EpochReport, MigrationBatch, WorkerMsg};
+use crate::messages::{EpochReport, MigrationBatch, WorkerMsg};
 use crate::transport::{InProcRegistry, Transport, TransportError, DEFAULT_DEADLINE};
 use crate::unit::CacheUnit;
-use crate::worker::{spawn_worker, WorkerCell, WorkerContext};
-use crossbeam_channel::bounded;
+use crate::worker::{spawn_worker, Worker, WorkerCell, WorkerContext};
 use mbal_balancer::phase1::ReplicationAction;
 use mbal_balancer::plan::Migration;
 use mbal_balancer::replicated::CoordinatorService;
@@ -194,16 +193,7 @@ impl Server {
                     self.cfg.unit_mem_budget(),
                     &self.cfg.tenants,
                 ));
-                let (rtx, rrx) = bounded(1);
-                self.control(
-                    WorkerId(w),
-                    Control::Adopt {
-                        unit,
-                        lease: None,
-                        reply: rtx,
-                    },
-                );
-                let _ = rrx.recv();
+                self.worker(WorkerId(w)).ask(|wk| wk.adopt(unit, None));
             }
         }
     }
@@ -242,42 +232,32 @@ impl Server {
         self.driver.events()
     }
 
-    /// Sends a control message to worker `w` and waits for completion
-    /// where the message carries a reply channel.
-    fn control(&self, w: WorkerId, msg: Control) {
-        let _ = self.workers[w.0 as usize]
-            .mailbox()
-            .send(WorkerMsg::Control(msg));
+    /// The cell of this server's worker `w`.
+    fn worker(&self, w: WorkerId) -> &WorkerCell {
+        &self.workers[w.0 as usize]
     }
 
-    /// Sends a control message built by `msg` to every worker.
-    fn broadcast(&self, msg: impl Fn() -> Control) {
+    /// Queues `step` on every worker without waiting.
+    fn broadcast(&self, step: impl FnOnce(&mut Worker) + Clone + Send + 'static) {
         for cell in &self.workers {
-            let _ = cell.mailbox().send(WorkerMsg::Control(msg()));
+            cell.tell(step.clone());
         }
     }
 
     /// Direct RPC to one of this server's workers (bypasses transport).
     pub fn local_call(&self, w: WorkerId, req: Request) -> Option<Response> {
-        let (rtx, rrx) = bounded(1);
-        self.workers[w.0 as usize]
-            .mailbox()
-            .send(WorkerMsg::Rpc { req, reply: rtx })
-            .ok()?;
-        rrx.recv().ok()
+        self.worker(w).queue_rpc(vec![req]).recv().ok()?.pop()
     }
 
-    /// Collects end-of-epoch reports from every worker.
+    /// Collects end-of-epoch reports from every worker. Every worker's
+    /// step is queued before any is waited on, so the workers close
+    /// their epochs in parallel.
     fn collect_reports(&self, epoch_secs: f64) -> Vec<EpochReport> {
-        let mut pending = Vec::new();
-        for cell in &self.workers {
-            let (rtx, rrx) = bounded(1);
-            let _ = cell.mailbox().send(WorkerMsg::Control(Control::EpochEnd {
-                epoch_secs,
-                reply: rtx,
-            }));
-            pending.push(rrx);
-        }
+        let pending: Vec<_> = self
+            .workers
+            .iter()
+            .map(|cell| cell.queue(move |w| w.end_epoch(epoch_secs)))
+            .collect();
         pending
             .into_iter()
             .filter_map(|rx| rx.recv().ok())
@@ -339,7 +319,8 @@ impl Server {
             .driver
             .epoch(now_ms, &loads, &hot_keys, &self.cluster_workers);
 
-        self.broadcast(|| Control::SetSamplingBackoff(actions.sampling_backoff));
+        let backoff = actions.sampling_backoff;
+        self.broadcast(move |w| w.set_sampling_backoff(backoff));
         if !actions.tenant_budgets.is_empty() {
             // The arbiter reallocates server-wide totals; each unit gets
             // an equal share, matching how quotas scale per unit.
@@ -349,7 +330,7 @@ impl Server {
                 .iter()
                 .map(|&(t, b)| (t, b / total_units.max(1) as u64))
                 .collect();
-            self.broadcast(|| Control::SetTenantBudgets(per_unit.clone()));
+            self.broadcast(move |w| w.set_tenant_budgets(&per_unit));
         }
         for (wid, acts) in &actions.replication {
             self.execute_replication(*wid, acts, now_ms);
@@ -423,10 +404,10 @@ impl Server {
         let draining = view.state_of(self.cfg.server) == Some(NodeState::Draining);
         if draining != self.draining {
             self.draining = draining;
-            self.broadcast(|| Control::SetDrain(draining));
+            self.broadcast(move |w| w.set_drain(draining));
         }
         let payload = serde_json::to_vec(&view).unwrap_or_default();
-        self.broadcast(|| Control::SetMembershipView(payload.clone()));
+        self.broadcast(move |w| w.set_membership_view(payload));
         // Cluster-level gauges ride on worker 0's shard only: snapshots
         // sum gauges across shards, so exactly one shard may carry them.
         let shard = self.metrics.shard(0);
@@ -452,17 +433,8 @@ impl Server {
                 worker: WorkerId(w),
             };
             for cachelet in mapping.cachelets_of_worker(addr) {
-                let (rtx, rrx) = bounded(1);
-                self.control(
-                    WorkerId(w),
-                    Control::PromoteReplicas {
-                        cachelet,
-                        num_vns,
-                        num_cachelets,
-                        reply: rtx,
-                    },
-                );
-                let _ = rrx.recv();
+                self.worker(WorkerId(w))
+                    .ask(move |wk| wk.promote_replicas(cachelet, num_vns, num_cachelets));
             }
         }
     }
@@ -518,7 +490,8 @@ impl Server {
                     };
                     if empty {
                         self.replica_locations.remove(key);
-                        self.control(wid, Control::UnsetReplicated { key: key.clone() });
+                        let key = key.clone();
+                        self.worker(wid).tell(move |w| w.unset_replicated(&key));
                     }
                 }
             }
@@ -535,7 +508,8 @@ impl Server {
                         }
                         entry.clone()
                     };
-                    self.control(wid, Control::SetReplicated { key, shadows });
+                    self.worker(wid)
+                        .tell(move |w| w.set_replicated(key, shadows));
                 }
             }
         }
@@ -546,33 +520,26 @@ impl Server {
             if m.from.server != self.cfg.server || m.to.server != self.cfg.server {
                 continue; // defensive: Phase 2 is local by construction
             }
-            let (rtx, rrx) = bounded(1);
-            self.control(
-                m.from.worker,
-                Control::Release {
-                    id: m.cachelet,
-                    new_owner: m.to,
-                    reply: rtx,
-                },
-            );
-            let Ok(Some(unit)) = rrx.recv() else {
+            let Some(unit) = self.release(m) else {
                 continue;
             };
-            let lease_expiry = now_ms + self.cfg.balancer.cachelet_lease_ms;
-            let (atx, arx) = bounded(1);
-            self.control(
-                m.to.worker,
-                Control::Adopt {
-                    unit,
-                    lease: Some((m.from.worker, lease_expiry)),
-                    reply: atx,
-                },
-            );
-            let _ = arx.recv();
+            let (home, lease_expiry) =
+                (m.from.worker, now_ms + self.cfg.balancer.cachelet_lease_ms);
+            self.worker(m.to.worker)
+                .ask(move |w| w.adopt(unit, Some((home, lease_expiry))));
             self.leases
-                .insert(m.cachelet, (m.from.worker, m.to.worker, lease_expiry));
+                .insert(m.cachelet, (home, m.to.worker, lease_expiry));
             self.coordinator.report_local_move(m);
         }
+    }
+
+    /// Takes cachelet `m.cachelet` from worker `m.from`, leaving it
+    /// redirecting to `m.to`; `None` if that worker does not own it.
+    fn release(&self, m: &Migration) -> Option<Box<CacheUnit>> {
+        let (id, to) = (m.cachelet, m.to);
+        self.worker(m.from.worker)
+            .ask(move |w| w.release(id, to))
+            .flatten()
     }
 
     /// Executes the bounded-load shed (`BalancerConfig::load_cap`).
@@ -585,32 +552,14 @@ impl Server {
             if m.from.server != self.cfg.server || m.to.server != self.cfg.server {
                 continue; // the cap plans over this server's workers only
             }
-            let (rtx, rrx) = bounded(1);
-            self.control(
-                m.from.worker,
-                Control::Release {
-                    id: m.cachelet,
-                    new_owner: m.to,
-                    reply: rtx,
-                },
-            );
-            let Ok(Some(mut unit)) = rrx.recv() else {
+            let Some(mut unit) = self.release(m) else {
                 continue;
             };
             // The destination owns it outright: clear any hotspot-lease
             // residue so an old lease expiry cannot bounce it back.
             unit.meta_mut().adopt();
             self.leases.remove(&m.cachelet);
-            let (atx, arx) = bounded(1);
-            self.control(
-                m.to.worker,
-                Control::Adopt {
-                    unit,
-                    lease: None,
-                    reply: atx,
-                },
-            );
-            let _ = arx.recv();
+            self.worker(m.to.worker).ask(|w| w.adopt(unit, None));
             self.metrics
                 .shard(m.from.worker.0 as usize)
                 .incr(Counter::RingCapSpills);
@@ -629,40 +578,22 @@ impl Server {
             .map(|(&c, &l)| (c, l))
             .collect();
         for (c, (home, current, _)) in expired {
-            let (rtx, rrx) = bounded(1);
-            let home_addr = WorkerAddr {
-                server: self.cfg.server,
-                worker: home,
-            };
-            self.control(
-                current,
-                Control::Release {
-                    id: c,
-                    new_owner: home_addr,
-                    reply: rtx,
+            let back = Migration {
+                cachelet: c,
+                from: WorkerAddr {
+                    server: self.cfg.server,
+                    worker: current,
                 },
-            );
-            if let Ok(Some(mut unit)) = rrx.recv() {
+                to: WorkerAddr {
+                    server: self.cfg.server,
+                    worker: home,
+                },
+                load: 0.0,
+            };
+            if let Some(mut unit) = self.release(&back) {
                 unit.meta_mut().restore_home();
-                let (atx, arx) = bounded(1);
-                self.control(
-                    home,
-                    Control::Adopt {
-                        unit,
-                        lease: None,
-                        reply: atx,
-                    },
-                );
-                let _ = arx.recv();
-                self.coordinator.report_local_move(&Migration {
-                    cachelet: c,
-                    from: WorkerAddr {
-                        server: self.cfg.server,
-                        worker: current,
-                    },
-                    to: home_addr,
-                    load: 0.0,
-                });
+                self.worker(home).ask(|w| w.adopt(unit, None));
+                self.coordinator.report_local_move(&back);
             }
             self.leases.remove(&c);
         }
@@ -717,16 +648,12 @@ impl Server {
     /// to a flaky link. Returns `true` only when the migration
     /// committed.
     pub fn migrate_out(&mut self, m: &Migration) -> bool {
-        let (rtx, rrx) = bounded(1);
-        self.control(
-            m.from.worker,
-            Control::BeginMigration {
-                id: m.cachelet,
-                dest: m.to,
-                reply: rtx,
-            },
-        );
-        if !matches!(rrx.recv(), Ok(true)) {
+        let (id, dest) = (m.cachelet, m.to);
+        if self
+            .worker(m.from.worker)
+            .ask(move |w| w.begin_migration(id, dest))
+            != Some(true)
+        {
             return false;
         }
         // Every drained entry is kept here until the commit is
@@ -735,16 +662,8 @@ impl Server {
         let mut drained: MigrationBatch = Vec::new();
         let mut pending: Vec<Request> = Vec::new();
         loop {
-            let (dtx, drx) = bounded(1);
-            self.control(
-                m.from.worker,
-                Control::DrainBucket {
-                    id: m.cachelet,
-                    reply: dtx,
-                },
-            );
-            match drx.recv() {
-                Ok(Some(entries)) => {
+            match self.worker(m.from.worker).ask(move |w| w.drain_bucket(id)) {
+                Some(Some(entries)) => {
                     if entries.is_empty() {
                         continue;
                     }
@@ -760,8 +679,8 @@ impl Server {
                         return false;
                     }
                 }
-                Ok(None) => break,
-                Err(_) => {
+                Some(None) => break,
+                None => {
                     self.rollback_migration(m, drained);
                     return false;
                 }
@@ -775,15 +694,8 @@ impl Server {
             self.rollback_migration(m, drained);
             return false;
         }
-        let (ftx, frx) = bounded(1);
-        self.control(
-            m.from.worker,
-            Control::FinishMigration {
-                id: m.cachelet,
-                reply: ftx,
-            },
-        );
-        let _ = frx.recv();
+        self.worker(m.from.worker)
+            .ask(move |w| w.finish_migration(id));
         self.coordinator.migration_complete(m.cachelet);
         true
     }
@@ -857,16 +769,9 @@ impl Server {
             },
             std::time::Duration::from_millis(250),
         );
-        let (rtx, rrx) = bounded(1);
-        self.control(
-            m.from.worker,
-            Control::AbortMigration {
-                id: m.cachelet,
-                entries: drained,
-                reply: rtx,
-            },
-        );
-        let _ = rrx.recv();
+        let id = m.cachelet;
+        self.worker(m.from.worker)
+            .ask(move |w| w.abort_migration(id, drained));
         self.coordinator.migration_failed(m);
     }
 
@@ -894,7 +799,9 @@ impl Server {
     /// Stops workers and joins their threads. Idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        self.broadcast(|| Control::Shutdown);
+        for cell in &self.workers {
+            let _ = cell.mailbox().send(WorkerMsg::Shutdown);
+        }
         for h in self.handles.drain(..) {
             let _ = h.join();
         }

@@ -571,25 +571,8 @@ mod tests {
                 },
             };
             while let Some(msg) = rx.recv() {
-                match msg {
-                    WorkerMsg::Rpc { req, reply } => {
-                        let _ = reply.send(answer(req, &mut map));
-                    }
-                    WorkerMsg::RpcBatch { reqs, reply } => {
-                        let resps = reqs.into_iter().map(|r| answer(r, &mut map)).collect();
-                        let _ = reply.send(resps);
-                    }
-                    WorkerMsg::RpcTagged {
-                        reqs,
-                        tag,
-                        reply,
-                        notify,
-                    } => {
-                        let resps = reqs.into_iter().map(|r| answer(r, &mut map)).collect();
-                        let _ = reply.send((tag, resps));
-                        notify.wake();
-                    }
-                    WorkerMsg::Control(_) => {}
+                if let WorkerMsg::Rpc { reqs, done } = msg {
+                    done(reqs.into_iter().map(|r| answer(r, &mut map)).collect());
                 }
             }
         });

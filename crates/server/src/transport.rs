@@ -9,7 +9,7 @@
 
 use crate::messages::WorkerMsg;
 use crate::worker::WorkerCell;
-use crossbeam_channel::{bounded, RecvTimeoutError};
+use crossbeam_channel::RecvTimeoutError;
 use mbal_core::types::WorkerAddr;
 use mbal_proto::{Request, Response};
 use parking_lot::RwLock;
@@ -151,7 +151,7 @@ impl InProcRegistry {
 }
 
 /// Maps a failed reply wait: a reply channel dropped unanswered means
-/// the worker shut down with the message still queued.
+/// the worker is gone, or shut down with the message still queued.
 fn reply_error(addr: WorkerAddr, e: RecvTimeoutError) -> TransportError {
     match e {
         RecvTimeoutError::Timeout => TransportError::Timeout(addr),
@@ -175,11 +175,11 @@ impl Transport for InProcRegistry {
             Ok(resp) => return Ok(resp),
             Err(req) => req,
         };
-        let (rtx, rrx) = bounded(1);
-        cell.mailbox()
-            .send(WorkerMsg::Rpc { req, reply: rtx })
-            .map_err(|_| TransportError::Unreachable(addr))?;
-        rrx.recv_timeout(deadline).map_err(|e| reply_error(addr, e))
+        cell.queue_rpc(vec![req])
+            .recv_timeout(deadline)
+            .map_err(|e| reply_error(addr, e))?
+            .pop()
+            .ok_or_else(|| TransportError::Broken("empty reply".into()))
     }
 
     /// Served whole on the caller's thread when the worker is idle,
@@ -202,20 +202,10 @@ impl Transport for InProcRegistry {
         };
         let resps = match cell.try_serve_batch(reqs) {
             Ok(resps) => resps,
-            Err(reqs) => {
-                let (rtx, rrx) = bounded(1);
-                if cell
-                    .mailbox()
-                    .send(WorkerMsg::RpcBatch { reqs, reply: rtx })
-                    .is_err()
-                {
-                    return batch_errs(n, TransportError::Unreachable(addr));
-                }
-                match rrx.recv_timeout(deadline) {
-                    Ok(resps) => resps,
-                    Err(e) => return batch_errs(n, reply_error(addr, e)),
-                }
-            }
+            Err(reqs) => match cell.queue_rpc(reqs).recv_timeout(deadline) {
+                Ok(resps) => resps,
+                Err(e) => return batch_errs(n, reply_error(addr, e)),
+            },
         };
         if resps.len() == n {
             return resps.into_iter().map(Ok).collect();
@@ -231,14 +221,15 @@ impl Transport for InProcRegistry {
         out
     }
 
-    /// Genuinely asynchronous: enqueue and return without waiting. The
-    /// response lands in a throwaway channel. This is what makes
-    /// asynchronous replica propagation (§3.2) non-blocking for the home
-    /// worker.
+    /// Genuinely asynchronous: enqueue and return without waiting; the
+    /// response is dropped. This is what makes asynchronous replica
+    /// propagation (§3.2) non-blocking for the home worker.
     fn cast(&self, addr: WorkerAddr, req: Request) {
         if let Some(cell) = self.cell(addr) {
-            let (rtx, _rrx) = bounded(1);
-            let _ = cell.mailbox().send(WorkerMsg::Rpc { req, reply: rtx });
+            let _ = cell.mailbox().send(WorkerMsg::Rpc {
+                reqs: vec![req],
+                done: Box::new(drop),
+            });
         }
     }
 }
@@ -257,26 +248,29 @@ mod tests {
         mailbox
     }
 
-    /// A trivial echo worker loop for transport tests.
+    /// A one-shot echo worker: answers the first RPC, one response per
+    /// request in order, then exits.
     fn spawn_echo(reg: &InProcRegistry, addr: WorkerAddr) -> std::thread::JoinHandle<()> {
         let rx = register_mailbox(reg, addr);
         std::thread::spawn(move || {
-            // One-shot: answer the first RPC and exit.
-            if let Some(WorkerMsg::Rpc { req, reply }) = rx.recv() {
-                let resp = match req {
-                    Request::Get { key, .. } => Response::Value {
-                        value: key.into(),
-                        replicas: vec![],
-                    },
-                    Request::Stats { .. } => Response::StatsBlob {
-                        payload: b"{}".to_vec(),
-                    },
-                    _ => Response::Fail {
-                        status: Status::Error,
-                        message: "unsupported".into(),
-                    },
-                };
-                let _ = reply.send(resp);
+            if let Some(WorkerMsg::Rpc { reqs, done }) = rx.recv() {
+                let resps = reqs
+                    .into_iter()
+                    .map(|req| match req {
+                        Request::Get { key, .. } => Response::Value {
+                            value: key.into(),
+                            replicas: vec![],
+                        },
+                        Request::Stats { .. } => Response::StatsBlob {
+                            payload: b"{}".to_vec(),
+                        },
+                        _ => Response::Fail {
+                            status: Status::Error,
+                            message: "unsupported".into(),
+                        },
+                    })
+                    .collect();
+                done(resps);
             }
         })
     }
@@ -304,34 +298,10 @@ mod tests {
         h.join().expect("worker exits");
     }
 
-    /// A batch-aware one-shot worker: answers a single `RpcBatch` with
-    /// one echo response per request, then exits.
-    fn spawn_batch_echo(reg: &InProcRegistry, addr: WorkerAddr) -> std::thread::JoinHandle<()> {
-        let rx = register_mailbox(reg, addr);
-        std::thread::spawn(move || {
-            if let Some(WorkerMsg::RpcBatch { reqs, reply }) = rx.recv() {
-                let resps = reqs
-                    .into_iter()
-                    .map(|req| match req {
-                        Request::Get { key, .. } => Response::Value {
-                            value: key.into(),
-                            replicas: vec![],
-                        },
-                        _ => Response::Fail {
-                            status: Status::Error,
-                            message: "unsupported".into(),
-                        },
-                    })
-                    .collect();
-                let _ = reply.send(resps);
-            }
-        })
-    }
-
     #[test]
     fn call_many_is_one_enqueue_and_stays_ordered() {
         let reg = InProcRegistry::new();
-        let h = spawn_batch_echo(&reg, WorkerAddr::new(0, 0));
+        let h = spawn_echo(&reg, WorkerAddr::new(0, 0));
         let reqs: Vec<Request> = (0..5)
             .map(|i| Request::Get {
                 cachelet: mbal_core::types::CacheletId(0),

@@ -16,17 +16,24 @@
 //! (relaxed atomics into a dedicated cache-line-aligned block, so the
 //! fast path stays contention-free), and `Request::Stats` serves the
 //! accumulated [`StatsReport`] back over the wire.
+//!
+//! The server's balance and migration machinery changes a worker only
+//! through [`Worker`]'s public methods (`adopt`, `release`, `end_epoch`,
+//! the migration steps, …), run as steps on the worker's own thread in
+//! mailbox order: [`WorkerCell::ask`] waits for a step's result,
+//! [`WorkerCell::tell`] does not.
 
 use crate::mailbox::Mailbox;
-use crate::messages::{Control, EpochReport, WorkerMsg};
+use crate::messages::{Completion, EpochReport, MigrationBatch, WorkerMsg};
 use crate::transport::Transport;
 use crate::unit::CacheUnit;
+use crossbeam_channel::{bounded, Receiver};
 use mbal_balancer::WorkerLoad;
 use mbal_core::clock::Clock;
 use mbal_core::hash::shard_hash;
 use mbal_core::hotkey::{HotKey, HotKeyConfig, HotKeyTracker};
 use mbal_core::replica::{ReplicaLookup, ReplicaTable};
-use mbal_core::types::{CacheError, CacheletId, TenantId, Value, WorkerAddr};
+use mbal_core::types::{CacheError, CacheletId, TenantId, Value, WorkerAddr, WorkerId};
 use mbal_proto::{Request, Response, Status};
 use mbal_telemetry::{Counter, Gauge, MetricsShard, StatsReport};
 use mbal_tenant::{
@@ -125,30 +132,12 @@ impl Worker {
         self.ctx.tenants.len() > 1
     }
 
-    /// Serves one mailbox message; `false` on `Control::Shutdown`.
+    /// Serves one mailbox message; `false` on `Shutdown`.
     fn handle_msg(&mut self, msg: WorkerMsg) -> bool {
         match msg {
-            WorkerMsg::Rpc { req, reply } => {
-                let resp = self.handle_rpc(req);
-                let _ = reply.send(resp);
-            }
-            WorkerMsg::RpcBatch { reqs, reply } => {
-                let _ = reply.send(self.handle_batch(reqs));
-            }
-            WorkerMsg::RpcTagged {
-                reqs,
-                tag,
-                reply,
-                notify,
-            } => {
-                if reqs.len() > 1 {
-                    self.ctx.metrics.incr(Counter::BatchRpcs);
-                }
-                let resps = reqs.into_iter().map(|r| self.handle_rpc(r)).collect();
-                let _ = reply.send((tag, resps));
-                notify.wake();
-            }
-            WorkerMsg::Control(c) => return self.handle_control(c),
+            WorkerMsg::Rpc { reqs, done } => done(self.handle_batch(reqs)),
+            WorkerMsg::Run(step) => step(self),
+            WorkerMsg::Shutdown => return false,
         }
         true
     }
@@ -181,9 +170,12 @@ impl Worker {
         }
     }
 
-    /// Serves a pipelined batch in order, counted as one batch RPC.
+    /// Serves RPCs in order. More than one request counts as one batch
+    /// RPC, whichever path the batch took to get here.
     fn handle_batch(&mut self, reqs: Vec<Request>) -> Vec<Response> {
-        self.ctx.metrics.incr(Counter::BatchRpcs);
+        if reqs.len() > 1 {
+            self.ctx.metrics.incr(Counter::BatchRpcs);
+        }
         reqs.into_iter().map(|r| self.handle_rpc(r)).collect()
     }
 
@@ -885,126 +877,178 @@ impl Worker {
         }
     }
 
-    fn handle_control(&mut self, c: Control) -> bool {
-        match c {
-            Control::Adopt { unit, lease, reply } => {
-                let mut unit = unit;
-                if let Some((home, expiry)) = lease {
-                    unit.meta_mut().lease_out(home, expiry)
-                }
-                self.forwards.remove(&unit.id());
-                self.units.insert(unit.id(), unit);
-                let _ = reply.send(());
-            }
-            Control::Release {
-                id,
-                new_owner,
-                reply,
-            } => {
-                let unit = self.units.remove(&id);
-                if unit.is_some() {
-                    self.forwards.insert(id, new_owner);
-                }
-                let _ = reply.send(unit);
-            }
-            Control::EpochEnd { epoch_secs, reply } => {
-                let report = self.epoch_snapshot(epoch_secs, true);
-                let _ = reply.send(report);
-            }
-            Control::SetReplicated { key, shadows } => {
-                self.replicated.insert(key, shadows);
-            }
-            Control::UnsetReplicated { key } => {
-                self.replicated.remove(&key);
-            }
-            Control::SetSamplingBackoff(b) => {
-                self.tracker.set_backoff(b);
-            }
-            Control::SetTenantBudgets(budgets) => {
-                for u in self.units.values_mut() {
-                    for &(t, b) in &budgets {
-                        u.set_tenant_budget(t, usize::try_from(b).unwrap_or(usize::MAX));
-                    }
-                }
-            }
-            Control::BeginMigration { id, dest, reply } => {
-                let ok = match self.units.get_mut(&id) {
-                    Some(u) => {
-                        u.begin_migration(dest);
-                        true
-                    }
-                    None => false,
-                };
-                let _ = reply.send(ok);
-            }
-            Control::DrainBucket { id, reply } => {
-                let batch = self.units.get_mut(&id).and_then(|u| {
-                    u.drain_next_bucket().map(|entries| {
-                        entries
-                            .into_iter()
-                            .map(|(k, v, e)| (k.into_vec(), v.into(), e))
-                            .collect::<Vec<_>>()
-                    })
-                });
-                let _ = reply.send(batch);
-            }
-            Control::AbortMigration { id, entries, reply } => {
-                let now = self.now_ms();
-                if let Some(u) = self.units.get_mut(&id) {
-                    u.abort_migration(entries, now);
-                }
-                // The cachelet is authoritative here again.
-                self.forwards.remove(&id);
-                let _ = reply.send(());
-            }
-            Control::FinishMigration { id, reply } => {
-                if let Some(u) = self.units.remove(&id) {
-                    if let Some(p) = u.migration() {
-                        self.forwards.insert(id, p.dest);
-                    }
-                }
-                let _ = reply.send(());
-            }
-            Control::SetDrain(on) => {
-                self.draining = on;
-            }
-            Control::SetMembershipView(view) => {
-                self.membership_view = Some(view);
-            }
-            Control::PromoteReplicas {
-                cachelet,
-                num_vns,
-                num_cachelets,
-                reply,
-            } => {
-                let now = self.now_ms();
-                // Failure reassignment: this cachelet's home died, so any
-                // live shadow copies held here are the only surviving
-                // values for its keys. `vn → cachelet` is `vn mod
-                // num_cachelets` by construction and never mutated, so
-                // the mapping reduces to two constants.
-                let promoted = self.replica_table.take_live_matching(now, |key| {
-                    ((shard_hash(key) % num_vns) % num_cachelets) as u32 == cachelet.0
-                });
-                let count = promoted.len();
-                self.ctx
-                    .metrics
-                    .add(Counter::ReplicasPromoted, count as u64);
-                self.forwards.remove(&cachelet);
-                let unit = self.units.entry(cachelet).or_insert_with(|| {
-                    let mut u = Box::new((self.ctx.unit_factory)(cachelet));
-                    u.meta_mut().adopt();
-                    u
-                });
-                // Replica leases are not value TTLs; promote without one.
-                let entries: Vec<(Vec<u8>, Value, u64)> =
-                    promoted.into_iter().map(|(k, v)| (k, v, 0)).collect();
-                unit.install_entries(entries, now);
-                let _ = reply.send(count);
-            }
-            Control::Shutdown => return false,
+    /// Takes ownership of a cachelet: initial placement, a Phase 2
+    /// adopt, or a lease return. `lease` is `(home worker, lease expiry
+    /// ms)` for a Phase 2 lease.
+    pub fn adopt(&mut self, mut unit: Box<CacheUnit>, lease: Option<(WorkerId, u64)>) {
+        if let Some((home, expiry)) = lease {
+            unit.meta_mut().lease_out(home, expiry)
         }
-        true
+        self.forwards.remove(&unit.id());
+        self.units.insert(unit.id(), unit);
+    }
+
+    /// Gives up cachelet `id` (Phase 2 move-out or lease return) and
+    /// redirects its keys to `new_owner`. `None` if it is not owned here.
+    pub fn release(&mut self, id: CacheletId, new_owner: WorkerAddr) -> Option<Box<CacheUnit>> {
+        let unit = self.units.remove(&id);
+        if unit.is_some() {
+            self.forwards.insert(id, new_owner);
+        }
+        unit
+    }
+
+    /// Closes the epoch: rolls every unit's load EWMA, runs engine
+    /// maintenance (proactive TTL expiry), decays the hot-key tracker and
+    /// the tenant MRCs, retires expired replicas, and reports the loads
+    /// and hot keys. `epoch_secs` is the epoch length, for rates.
+    pub fn end_epoch(&mut self, epoch_secs: f64) -> EpochReport {
+        let now = self.now_ms();
+        for u in self.units.values_mut() {
+            u.end_epoch(epoch_secs);
+            // Per-epoch engine maintenance: proactive TTL expiry
+            // (whole-segment reclamation under the seg engine).
+            u.maintain(now);
+        }
+        self.tracker.end_epoch();
+        self.replica_table.retire_expired(now);
+        // Age the per-tenant miss-ratio curves so the marginal
+        // signal tracks the current workload, not history.
+        for mrc in self.mrcs.values_mut() {
+            mrc.decay();
+        }
+        let hot_keys = merge_hot_keys(self.tracker.hot_keys(), self.tracker.write_hot_keys());
+        EpochReport {
+            load: self.load_snapshot(),
+            hot_keys,
+            replica_bytes: self.replica_table.bytes(),
+        }
+    }
+
+    /// Records that `key` now has replicas at `shadows` (home side), so
+    /// GETs piggyback their locations.
+    pub fn set_replicated(&mut self, key: Vec<u8>, shadows: Vec<WorkerAddr>) {
+        self.replicated.insert(key, shadows);
+    }
+
+    /// Forgets replication state for `key` (retired or migrated away).
+    pub fn unset_replicated(&mut self, key: &[u8]) {
+        self.replicated.remove(key);
+    }
+
+    /// Applies a hot-key sampling backoff factor (Phase 1 pressure).
+    pub fn set_sampling_backoff(&mut self, backoff: u64) {
+        self.tracker.set_backoff(backoff);
+    }
+
+    /// Applies arbitrated per-unit tenant memory budgets, `(tenant, bytes
+    /// per cache unit)`, to every unit this worker owns. A tenant now
+    /// over its shrunk budget evicts its own coldest entries; no other
+    /// tenant is touched.
+    pub fn set_tenant_budgets(&mut self, budgets: &[(TenantId, u64)]) {
+        for u in self.units.values_mut() {
+            for &(t, b) in budgets {
+                u.set_tenant_budget(t, usize::try_from(b).unwrap_or(usize::MAX));
+            }
+        }
+    }
+
+    /// Begins outbound coordinated migration of `id` towards `dest`;
+    /// `false` if the cachelet is not owned here.
+    pub fn begin_migration(&mut self, id: CacheletId, dest: WorkerAddr) -> bool {
+        match self.units.get_mut(&id) {
+            Some(u) => {
+                u.begin_migration(dest);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Drains the next bucket of migrating cachelet `id`: the entries to
+    /// forward, or `None` once it is fully drained (or not owned).
+    pub fn drain_bucket(&mut self, id: CacheletId) -> Option<MigrationBatch> {
+        self.units.get_mut(&id).and_then(|u| {
+            u.drain_next_bucket().map(|entries| {
+                entries
+                    .into_iter()
+                    .map(|(k, v, e)| (k.into_vec(), v.into(), e))
+                    .collect()
+            })
+        })
+    }
+
+    /// Rolls back a failed outbound migration (source side): clears the
+    /// migration state and re-installs `entries`, the ones drained (and
+    /// possibly shipped) before the failure, so no acknowledged write is
+    /// lost.
+    pub fn abort_migration(&mut self, id: CacheletId, entries: MigrationBatch) {
+        let now = self.now_ms();
+        if let Some(u) = self.units.get_mut(&id) {
+            u.abort_migration(entries, now);
+        }
+        // The cachelet is authoritative here again.
+        self.forwards.remove(&id);
+    }
+
+    /// Drops the fully drained cachelet `id` and starts forwarding to its
+    /// destination (source side, once the destination has committed).
+    pub fn finish_migration(&mut self, id: CacheletId) {
+        if let Some(u) = self.units.remove(&id) {
+            if let Some(p) = u.migration() {
+                self.forwards.insert(id, p.dest);
+            }
+        }
+    }
+
+    /// Enters or leaves drain mode. While draining, client value-writes
+    /// are refused with `Status::Draining`; reads, deletes (the
+    /// Write-Invalidate vehicle), replica ops and migration traffic stay
+    /// open so the evacuation itself can complete.
+    pub fn set_drain(&mut self, on: bool) {
+        self.draining = on;
+    }
+
+    /// Caches the serialized cluster-membership view, so the worker can
+    /// answer `ClusterStatus` RPCs without a coordinator round-trip.
+    pub fn set_membership_view(&mut self, view: Vec<u8>) {
+        self.membership_view = Some(view);
+    }
+
+    /// Materializes `cachelet`, reassigned here after a node failure, and
+    /// promotes any live shadow replicas of its keys into it (the Phase 1
+    /// copies are the only survivors). `num_vns` and `num_cachelets` let
+    /// the worker recompute `key → cachelet` without a mapping table.
+    /// Returns the number of promoted entries.
+    pub fn promote_replicas(
+        &mut self,
+        cachelet: CacheletId,
+        num_vns: u64,
+        num_cachelets: u64,
+    ) -> usize {
+        let now = self.now_ms();
+        // Failure reassignment: this cachelet's home died, so any
+        // live shadow copies held here are the only surviving
+        // values for its keys. `vn → cachelet` is `vn mod
+        // num_cachelets` by construction and never mutated, so
+        // the mapping reduces to two constants.
+        let promoted = self.replica_table.take_live_matching(now, |key| {
+            ((shard_hash(key) % num_vns) % num_cachelets) as u32 == cachelet.0
+        });
+        let count = promoted.len();
+        self.ctx
+            .metrics
+            .add(Counter::ReplicasPromoted, count as u64);
+        self.forwards.remove(&cachelet);
+        let unit = self.units.entry(cachelet).or_insert_with(|| {
+            let mut u = Box::new((self.ctx.unit_factory)(cachelet));
+            u.meta_mut().adopt();
+            u
+        });
+        // Replica leases are not value TTLs; promote without one.
+        let entries: MigrationBatch = promoted.into_iter().map(|(k, v)| (k, v, 0)).collect();
+        unit.install_entries(entries, now);
+        count
     }
 
     /// Answers a `Stats` RPC: snapshot first, then (optionally) zero
@@ -1110,38 +1154,6 @@ impl Worker {
             })
             .collect()
     }
-
-    /// Builds the end-of-epoch report; when `close` is set, rolls the
-    /// epoch (EWMA update, tracker decay, replica-lease sweep).
-    fn epoch_snapshot(&mut self, epoch_secs: f64, close: bool) -> EpochReport {
-        if close {
-            let now = self.now_ms();
-            for u in self.units.values_mut() {
-                u.end_epoch(epoch_secs);
-                // Per-epoch engine maintenance: proactive TTL expiry
-                // (whole-segment reclamation under the seg engine).
-                u.maintain(now);
-            }
-            self.tracker.end_epoch();
-            self.replica_table.retire_expired(now);
-            // Age the per-tenant miss-ratio curves so the marginal
-            // signal tracks the current workload, not history.
-            for mrc in self.mrcs.values_mut() {
-                mrc.decay();
-            }
-        }
-        let mut hot = self.tracker.hot_keys();
-        for wh in self.tracker.write_hot_keys() {
-            if !hot.iter().any(|h| h.key == wh.key) {
-                hot.push(wh);
-            }
-        }
-        EpochReport {
-            load: self.load_snapshot(),
-            hot_keys: hot,
-            replica_bytes: self.replica_table.bytes(),
-        }
-    }
 }
 
 /// Client value-writes refused in drain mode. Reads keep the cache
@@ -1210,7 +1222,8 @@ fn tenant_op(req: &Request) -> Option<TenantOp> {
 /// served on the caller's own thread ([`WorkerCell::try_serve`]), which
 /// saves the mailbox hop; otherwise it queues like every other message.
 /// Requests that build long-lived worker memory (a store needing a
-/// fresh slab chunk, replica and migration installs) always queue.
+/// fresh slab chunk, replica and migration installs) always queue, and
+/// so do steps ([`WorkerCell::ask`], [`WorkerCell::tell`]).
 /// The thread waits for mail outside the lock, then drains the mailbox
 /// under it, so an inline call never overtakes a message queued before
 /// it started (DESIGN §2.1).
@@ -1263,6 +1276,49 @@ impl WorkerCell {
         }
     }
 
+    /// Queues `reqs` as one mailbox RPC. The receiver yields the
+    /// responses, or disconnects if the worker is gone or shuts down
+    /// with the RPC still queued.
+    pub(crate) fn queue_rpc(&self, reqs: Vec<Request>) -> Receiver<Vec<Response>> {
+        let (tx, rx) = bounded(1);
+        let done: Completion = Box::new(move |resps| {
+            let _ = tx.send(resps);
+        });
+        let _ = self.mailbox.send(WorkerMsg::Rpc { reqs, done });
+        rx
+    }
+
+    /// Queues `step` to run on the worker's thread and returns without
+    /// waiting. A worker that is gone drops it unrun.
+    pub fn tell(&self, step: impl FnOnce(&mut Worker) + Send + 'static) {
+        let _ = self.mailbox.send(WorkerMsg::Run(Box::new(step)));
+    }
+
+    /// Queues `step` like [`WorkerCell::tell`]; the receiver yields its
+    /// result, or disconnects if the step is dropped unrun.
+    pub(crate) fn queue<R: Send + 'static>(
+        &self,
+        step: impl FnOnce(&mut Worker) -> R + Send + 'static,
+    ) -> Receiver<R> {
+        let (tx, rx) = bounded(1);
+        self.tell(move |w| {
+            let _ = tx.send(step(w));
+        });
+        rx
+    }
+
+    /// Runs `step` on the worker's thread, in mailbox order, and waits
+    /// for its result. Never runs it inline, even on an idle worker, so
+    /// the memory a step builds stays in the worker thread's arena.
+    /// `None` once the worker is gone: a shutdown drops the queued step,
+    /// so the caller does not wait on a worker that will never answer.
+    pub fn ask<R: Send + 'static>(
+        &self,
+        step: impl FnOnce(&mut Worker) -> R + Send + 'static,
+    ) -> Option<R> {
+        self.queue(step).recv().ok()
+    }
+
     /// The worker thread's loop: wait for mail, then drain it under the
     /// cell lock. On `Shutdown` the worker leaves the cell, so its
     /// memory (and its handle on the transport, which points back at
@@ -1302,9 +1358,9 @@ pub fn spawn_worker(ctx: WorkerContext) -> (Arc<WorkerCell>, std::thread::JoinHa
     (cell, handle)
 }
 
-/// Convenience for tests and tools: list the hot keys a worker would
-/// report, given raw tracked state. (The production path goes through
-/// `Control::EpochEnd`.)
+/// The hot keys a worker reports at the end of an epoch
+/// ([`Worker::end_epoch`]): the read-hot keys, then the write-hot keys
+/// not already among them.
 pub fn merge_hot_keys(read_hot: Vec<HotKey>, write_hot: Vec<HotKey>) -> Vec<HotKey> {
     let mut out = read_hot;
     for wh in write_hot {

@@ -31,7 +31,7 @@ fn thread_count() -> usize {
         .expect("Threads: line")
 }
 
-/// A minimal in-memory worker speaking the tagged mailbox protocol.
+/// A minimal in-memory worker speaking the mailbox protocol.
 fn spawn_worker() -> Mailbox<WorkerMsg> {
     let tx = Mailbox::new();
     let rx = tx.clone();
@@ -55,24 +55,8 @@ fn spawn_worker() -> Mailbox<WorkerMsg> {
             },
         };
         while let Some(msg) = rx.recv() {
-            match msg {
-                WorkerMsg::Rpc { req, reply } => {
-                    let _ = reply.send(answer(req, &mut map));
-                }
-                WorkerMsg::RpcBatch { reqs, reply } => {
-                    let _ = reply.send(reqs.into_iter().map(|r| answer(r, &mut map)).collect());
-                }
-                WorkerMsg::RpcTagged {
-                    reqs,
-                    tag,
-                    reply,
-                    notify,
-                } => {
-                    let resps = reqs.into_iter().map(|r| answer(r, &mut map)).collect();
-                    let _ = reply.send((tag, resps));
-                    notify.wake();
-                }
-                WorkerMsg::Control(_) => {}
+            if let WorkerMsg::Rpc { reqs, done } = msg {
+                done(reqs.into_iter().map(|r| answer(r, &mut map)).collect());
             }
         }
     });

@@ -10,10 +10,10 @@ use mbal_core::mem::{GlobalPool, MemConfig};
 use mbal_core::types::{CacheletId, Value, WorkerAddr, WorkerId};
 use mbal_proto::{Request, Response, Status};
 use mbal_server::mailbox::Mailbox;
-use mbal_server::messages::{Control, EpochReport, WorkerMsg};
+use mbal_server::messages::{EpochReport, WorkerMsg};
 use mbal_server::transport::{InProcRegistry, Transport, TransportError};
 use mbal_server::unit::CacheUnit;
-use mbal_server::worker::{spawn_worker, WorkerCell, WorkerContext};
+use mbal_server::worker::{spawn_worker, Worker, WorkerCell, WorkerContext};
 use mbal_telemetry::{Counter, MetricsShard, StatsReport};
 use std::sync::Arc;
 
@@ -97,41 +97,46 @@ fn fixture_with(
             0,
             mem_bytes,
         ));
-        let (rtx, rrx) = bounded(1);
-        f.control(Control::Adopt {
-            unit,
-            lease: None,
-            reply: rtx,
-        });
-        rrx.recv().expect("adopt ack");
+        f.ask(|w| w.adopt(unit, None));
     }
     f
 }
 
+/// Sends `reqs` through `cell`'s mailbox as one RPC and waits for the
+/// responses.
+fn rpc_many(cell: &WorkerCell, reqs: Vec<Request>) -> Vec<Response> {
+    let (rtx, rrx) = bounded(1);
+    let done = Box::new(move |resps| {
+        let _ = rtx.send(resps);
+    });
+    cell.mailbox()
+        .send(WorkerMsg::Rpc { reqs, done })
+        .expect("send");
+    rrx.recv().expect("reply")
+}
+
+/// [`rpc_many`] for one request.
+fn rpc(cell: &WorkerCell, req: Request) -> Response {
+    let mut resps = rpc_many(cell, vec![req]);
+    assert_eq!(resps.len(), 1, "one response per request");
+    resps.pop().expect("one response")
+}
+
 impl Fixture {
     fn rpc(&self, req: Request) -> Response {
-        let (rtx, rrx) = bounded(1);
-        self.cell
-            .mailbox()
-            .send(WorkerMsg::Rpc { req, reply: rtx })
-            .expect("send");
-        rrx.recv().expect("reply")
+        rpc(&self.cell, req)
     }
 
-    fn control(&self, c: Control) {
-        self.cell
-            .mailbox()
-            .send(WorkerMsg::Control(c))
-            .expect("send");
+    fn ask<R: Send + 'static>(&self, step: impl FnOnce(&mut Worker) -> R + Send + 'static) -> R {
+        self.cell.ask(step).expect("worker is running")
     }
 
     fn epoch(&self) -> EpochReport {
-        let (rtx, rrx) = bounded(1);
-        self.control(Control::EpochEnd {
-            epoch_secs: 1.0,
-            reply: rtx,
-        });
-        rrx.recv().expect("report")
+        self.ask(|w| w.end_epoch(1.0))
+    }
+
+    fn shutdown(&self) {
+        self.cell.mailbox().send(WorkerMsg::Shutdown).expect("send");
     }
 }
 
@@ -167,20 +172,16 @@ fn ownership_is_enforced() {
         Response::Fail { status, .. } => assert_eq!(status, Status::NotOwner),
         other => panic!("expected NotOwner, got {other:?}"),
     }
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
 fn release_leaves_forwarding_breadcrumb() {
     let f = fixture(WorkerAddr::new(0, 0), &[1]);
     set(&f, 1, b"k", b"v");
-    let (rtx, rrx) = bounded(1);
-    f.control(Control::Release {
-        id: CacheletId(1),
-        new_owner: WorkerAddr::new(0, 1),
-        reply: rtx,
-    });
-    let unit = rrx.recv().expect("reply").expect("owned");
+    let unit = f
+        .ask(|w| w.release(CacheletId(1), WorkerAddr::new(0, 1)))
+        .expect("owned");
     assert_eq!(unit.id(), CacheletId(1));
     // Requests now redirect to the new owner.
     assert_eq!(
@@ -190,7 +191,7 @@ fn release_leaves_forwarding_breadcrumb() {
             new_owner: WorkerAddr::new(0, 1)
         }
     );
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
@@ -217,7 +218,7 @@ fn multiget_returns_positional_hits() {
             ]
         }
     );
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
@@ -273,16 +274,18 @@ fn replica_table_lifecycle_via_rpc() {
         }),
         Response::NotFound
     );
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
 fn get_piggybacks_replica_locations() {
     let f = fixture(WorkerAddr::new(0, 0), &[1]);
     set(&f, 1, b"hot", b"v");
-    f.control(Control::SetReplicated {
-        key: b"hot".to_vec(),
-        shadows: vec![WorkerAddr::new(1, 0), WorkerAddr::new(2, 1)],
+    f.cell.tell(|w| {
+        w.set_replicated(
+            b"hot".to_vec(),
+            vec![WorkerAddr::new(1, 0), WorkerAddr::new(2, 1)],
+        )
     });
     assert_eq!(
         get(&f, 1, b"hot"),
@@ -291,9 +294,7 @@ fn get_piggybacks_replica_locations() {
             replicas: vec![WorkerAddr::new(1, 0), WorkerAddr::new(2, 1)]
         }
     );
-    f.control(Control::UnsetReplicated {
-        key: b"hot".to_vec(),
-    });
+    f.cell.tell(|w| w.unset_replicated(b"hot"));
     assert_eq!(
         get(&f, 1, b"hot"),
         Response::Value {
@@ -301,7 +302,7 @@ fn get_piggybacks_replica_locations() {
             replicas: vec![]
         }
     );
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
@@ -330,44 +331,35 @@ fn writes_propagate_to_shadow_synchronously() {
     let (shadow, _join) = spawn_worker(ctx);
     home.registry
         .register(WorkerAddr::new(1, 0), Arc::clone(&shadow));
-    let stx = shadow.mailbox();
 
     set(&home, 1, b"hot", b"v1");
     // Install the replica at the shadow and tell home about it.
-    let (rtx, rrx) = bounded(1);
-    stx.send(WorkerMsg::Rpc {
-        req: Request::ReplicaInstall {
+    rpc(
+        &shadow,
+        Request::ReplicaInstall {
             key: b"hot".to_vec(),
             value: b"v1".to_vec().into(),
             lease_expiry_ms: u64::MAX,
         },
-        reply: rtx,
-    })
-    .expect("send");
-    rrx.recv().expect("install ack");
-    home.control(Control::SetReplicated {
-        key: b"hot".to_vec(),
-        shadows: vec![WorkerAddr::new(1, 0)],
-    });
+    );
+    home.cell
+        .tell(|w| w.set_replicated(b"hot".to_vec(), vec![WorkerAddr::new(1, 0)]));
 
     // A write at home must synchronously update the shadow.
     assert_eq!(set(&home, 1, b"hot", b"v2"), Response::Stored);
-    let (rtx, rrx) = bounded(1);
-    stx.send(WorkerMsg::Rpc {
-        req: Request::ReplicaRead {
-            key: b"hot".to_vec(),
-        },
-        reply: rtx,
-    })
-    .expect("send");
     assert_eq!(
-        rrx.recv().expect("read"),
+        rpc(
+            &shadow,
+            Request::ReplicaRead {
+                key: b"hot".to_vec(),
+            }
+        ),
         Response::Value {
             value: b"v2".to_vec().into(),
             replicas: vec![]
         }
     );
-    home.control(Control::Shutdown);
+    home.shutdown();
 }
 
 #[test]
@@ -380,29 +372,13 @@ fn migration_write_invalidate_rules() {
     // Register a sink for the cast invalidations the source sends.
     f.registry
         .register(dest, WorkerCell::detached(Mailbox::new()));
-    let (rtx, rrx) = bounded(1);
-    f.control(Control::BeginMigration {
-        id: CacheletId(1),
-        dest,
-        reply: rtx,
-    });
-    assert!(rrx.recv().expect("begin"));
+    assert!(f.ask(move |w| w.begin_migration(CacheletId(1), dest)));
     // Drain roughly half the buckets.
     let mut drained = 0usize;
-    loop {
-        let (dtx, drx) = bounded(1);
-        f.control(Control::DrainBucket {
-            id: CacheletId(1),
-            reply: dtx,
-        });
-        match drx.recv().expect("drain") {
-            Some(batch) => {
-                drained += batch.len();
-                if drained >= 100 {
-                    break;
-                }
-            }
-            None => break,
+    while let Some(batch) = f.ask(|w| w.drain_bucket(CacheletId(1))) {
+        drained += batch.len();
+        if drained >= 100 {
+            break;
         }
     }
     assert!(drained >= 100);
@@ -431,7 +407,7 @@ fn migration_write_invalidate_rules() {
         }
     }
     assert!(write_moved, "writes to migrated keys must redirect");
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
@@ -459,7 +435,7 @@ fn seg_engine_whole_segment_expiry_reaches_stats_report() {
     );
     // Expired keys read as misses afterwards.
     assert_eq!(get(&f, 1, b"ttl0"), Response::NotFound);
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
@@ -479,7 +455,7 @@ fn slab_engine_lazy_expiry_reaches_stats_report() {
     let report = f.epoch();
     assert_eq!(report.load.metrics.get(Counter::Expirations), 1);
     assert_eq!(report.load.metrics.get(Counter::ExpiredBytes), 33);
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
@@ -506,9 +482,9 @@ fn epoch_report_counts_and_backoff() {
     );
     // Backoff quarters the sampling rate; just verify the control is
     // accepted and the loop stays alive.
-    f.control(Control::SetSamplingBackoff(4));
+    f.cell.tell(|w| w.set_sampling_backoff(4));
     assert_eq!(set(&f, 2, b"x", b"y"), Response::Stored);
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
@@ -524,7 +500,7 @@ fn stats_rpc_returns_parseable_load() {
     assert_eq!(report.load.addr.worker, WorkerId(3));
     assert_eq!(report.load.metrics.get(Counter::Sets), 1);
     assert_eq!(report.write_latency.count, 1);
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
@@ -554,7 +530,7 @@ fn stats_reset_clears_counters_but_keeps_gauges() {
             .gauge(mbal_telemetry::Gauge::CacheletsOwned),
         1
     );
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
@@ -564,7 +540,7 @@ fn heartbeat_is_rejected_at_workers() {
         Response::Fail { status, .. } => assert_eq!(status, Status::Error),
         other => panic!("unexpected {other:?}"),
     }
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
@@ -576,21 +552,10 @@ fn extended_write_ops_redirect_on_migrated_buckets() {
     let dest = WorkerAddr::new(1, 0);
     f.registry
         .register(dest, WorkerCell::detached(Mailbox::new()));
-    let (rtx, rrx) = bounded(1);
-    f.control(Control::BeginMigration {
-        id: CacheletId(1),
-        dest,
-        reply: rtx,
-    });
-    assert!(rrx.recv().expect("begin"));
+    assert!(f.ask(move |w| w.begin_migration(CacheletId(1), dest)));
     // Drain everything: every key now reports migrated.
     loop {
-        let (dtx, drx) = bounded(1);
-        f.control(Control::DrainBucket {
-            id: CacheletId(1),
-            reply: dtx,
-        });
-        if drx.recv().expect("drain").is_none() {
+        if f.ask(|w| w.drain_bucket(CacheletId(1))).is_none() {
             break;
         }
     }
@@ -632,7 +597,7 @@ fn extended_write_ops_redirect_on_migrated_buckets() {
             other => panic!("{req:?} did not redirect: {other:?}"),
         }
     }
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
@@ -656,7 +621,7 @@ fn extended_ops_respect_ownership() {
         Response::Fail { status, .. } => assert_eq!(status, Status::NotNumeric),
         other => panic!("unexpected {other:?}"),
     }
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
@@ -685,24 +650,18 @@ fn concat_propagates_full_value_to_replicas() {
     let (shadow, _join) = spawn_worker(ctx);
     home.registry
         .register(WorkerAddr::new(1, 0), Arc::clone(&shadow));
-    let stx = shadow.mailbox();
 
     set(&home, 1, b"hot", b"base");
-    let (rtx, rrx) = bounded(1);
-    stx.send(WorkerMsg::Rpc {
-        req: Request::ReplicaInstall {
+    rpc(
+        &shadow,
+        Request::ReplicaInstall {
             key: b"hot".to_vec(),
             value: b"base".to_vec().into(),
             lease_expiry_ms: u64::MAX,
         },
-        reply: rtx,
-    })
-    .expect("send");
-    rrx.recv().expect("ack");
-    home.control(Control::SetReplicated {
-        key: b"hot".to_vec(),
-        shadows: vec![WorkerAddr::new(1, 0)],
-    });
+    );
+    home.cell
+        .tell(|w| w.set_replicated(b"hot".to_vec(), vec![WorkerAddr::new(1, 0)]));
 
     let resp = home.rpc(Request::Concat {
         cachelet: CacheletId(1),
@@ -711,22 +670,19 @@ fn concat_propagates_full_value_to_replicas() {
         front: false,
     });
     assert_eq!(resp, Response::Stored);
-    let (rtx, rrx) = bounded(1);
-    stx.send(WorkerMsg::Rpc {
-        req: Request::ReplicaRead {
-            key: b"hot".to_vec(),
-        },
-        reply: rtx,
-    })
-    .expect("send");
     assert_eq!(
-        rrx.recv().expect("read"),
+        rpc(
+            &shadow,
+            Request::ReplicaRead {
+                key: b"hot".to_vec(),
+            }
+        ),
         Response::Value {
             value: b"base+tail".to_vec().into(),
             replicas: vec![]
         }
     );
-    home.control(Control::Shutdown);
+    home.shutdown();
 }
 
 #[test]
@@ -778,7 +734,7 @@ fn an_empty_unit_on_a_full_server_still_accepts_sets() {
             }
         );
     }
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 /// Serves `req` on the test thread, waiting out the moments in which
@@ -839,7 +795,7 @@ fn a_cast_queued_before_an_inline_read_is_visible_to_it() {
             replicas: vec![]
         }
     );
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
@@ -857,11 +813,8 @@ fn a_busy_worker_makes_callers_queue_and_honour_their_deadline() {
     // Promoting replicas into a cachelet the worker does not own makes
     // it build a unit, which waits at the gate: the worker is busy.
     let (rtx, rrx) = bounded(1);
-    f.control(Control::PromoteReplicas {
-        cachelet: CacheletId(5),
-        num_vns: 64,
-        num_cachelets: 8,
-        reply: rtx,
+    f.cell.tell(move |w| {
+        let _ = rtx.send(w.promote_replicas(CacheletId(5), 64, 8));
     });
     while !f.cell.mailbox().is_empty() {
         std::thread::yield_now();
@@ -898,7 +851,7 @@ fn a_busy_worker_makes_callers_queue_and_honour_their_deadline() {
             replicas: vec![]
         }
     );
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 #[test]
@@ -923,15 +876,7 @@ fn inline_calls_count_in_the_ledgers_like_mailbox_calls() {
     for _ in 0..3 {
         f.rpc(get_k.clone());
     }
-    let (rtx, rrx) = bounded(1);
-    f.cell
-        .mailbox()
-        .send(WorkerMsg::RpcBatch {
-            reqs: vec![get_k.clone(), get_k.clone()],
-            reply: rtx,
-        })
-        .expect("send");
-    rrx.recv().expect("batch reply");
+    rpc_many(&f.cell, vec![get_k.clone(), get_k.clone()]);
     let mailbox = ledgers(&f);
     // On this thread: the same traffic.
     for _ in 0..3 {
@@ -958,7 +903,61 @@ fn inline_calls_count_in_the_ledgers_like_mailbox_calls() {
     }
     assert_eq!(mailbox[1] - before[1], 5);
     assert_eq!(mailbox[3] - before[3], 1);
-    f.control(Control::Shutdown);
+    f.shutdown();
+}
+
+#[test]
+fn a_one_request_batch_is_not_a_batch_rpc() {
+    let f = fixture(WorkerAddr::new(0, 0), &[1]);
+    let addr = WorkerAddr::new(0, 0);
+    let get_k = Request::Get {
+        cachelet: CacheletId(1),
+        key: b"k".to_vec(),
+    };
+    let batch_rpcs = |f: &Fixture| f.epoch().load.metrics.get(Counter::BatchRpcs);
+    let before = batch_rpcs(&f);
+    let out = f
+        .registry
+        .call_many(addr, vec![get_k], std::time::Duration::from_secs(5));
+    assert_eq!(out, vec![Ok(Response::NotFound)]);
+    assert_eq!(batch_rpcs(&f) - before, 0);
+    f.shutdown();
+}
+
+#[test]
+fn ask_answers_none_once_the_worker_shuts_down() {
+    let (open, gate) = std::sync::mpsc::channel();
+    let f = fixture_with(
+        WorkerAddr::new(0, 0),
+        &[],
+        EngineKind::SlabLru,
+        16 << 20,
+        Some(gate),
+    );
+    // Building the promoted unit waits at the gate: the worker is busy.
+    f.cell.tell(|w| {
+        w.promote_replicas(CacheletId(5), 64, 8);
+    });
+    while !f.cell.mailbox().is_empty() {
+        std::thread::yield_now();
+    }
+    f.shutdown();
+    let cell = Arc::clone(&f.cell);
+    let (answer_tx, answer) = std::sync::mpsc::channel();
+    let asker = std::thread::spawn(move || {
+        let _ = answer_tx.send(cell.ask(|w| w.end_epoch(1.0)).map(|_| ()));
+    });
+    // Shutdown and the ask are both queued behind the held step.
+    while f.cell.mailbox().len() < 2 {
+        std::thread::yield_now();
+    }
+    open.send(()).expect("worker waits at the gate");
+    let waited = std::time::Duration::from_secs(5);
+    assert_eq!(answer.recv_timeout(waited).expect("ask returned"), None);
+    asker.join().expect("asker");
+    let started = std::time::Instant::now();
+    assert!(f.cell.ask(|w| w.end_epoch(1.0)).is_none());
+    assert!(started.elapsed() < waited, "a second ask waited");
 }
 
 #[test]
@@ -1060,7 +1059,7 @@ fn misses_in_a_cachelet_migrating_in_go_back_to_the_source_until_commit() {
         Response::MigrateAck
     );
     assert_eq!(get(&f, 3, b"in-flight"), Response::NotFound);
-    f.control(Control::Shutdown);
+    f.shutdown();
 }
 
 /// Follows `Moved` redirects for a GET of `key` from `first`, as a
@@ -1103,22 +1102,11 @@ fn a_read_during_a_transfer_never_bounces_for_a_key_no_end_holds() {
         }),
         Response::MigrateAck
     );
-    let (rtx, rrx) = bounded(1);
-    src.control(Control::BeginMigration {
-        id: CacheletId(3),
-        dest: dst_addr,
-        reply: rtx,
-    });
-    assert!(rrx.recv().expect("begin"));
+    assert!(src.ask(move |w| w.begin_migration(CacheletId(3), dst_addr)));
     // Drain every bucket and deliver all but the last batch.
     let mut batches = vec![];
     loop {
-        let (dtx, drx) = bounded(1);
-        src.control(Control::DrainBucket {
-            id: CacheletId(3),
-            reply: dtx,
-        });
-        match drx.recv().expect("drain") {
+        match src.ask(|w| w.drain_bucket(CacheletId(3))) {
             Some(batch) if batch.is_empty() => {}
             Some(batch) => batches.push(batch),
             None => break,
@@ -1195,8 +1183,8 @@ fn a_read_during_a_transfer_never_bounces_for_a_key_no_end_holds() {
         read_following_redirects(&workers, dst_addr, b"absent0"),
         (Response::NotFound, vec![dst_addr])
     );
-    src.control(Control::Shutdown);
-    dst.control(Control::Shutdown);
+    src.shutdown();
+    dst.shutdown();
 }
 
 #[test]
@@ -1226,5 +1214,5 @@ fn state_building_requests_are_left_to_the_worker_thread() {
     };
     assert!(f.cell.try_serve(install.clone()).is_err());
     assert!(f.cell.try_serve_batch(vec![set_k("c"), install]).is_err());
-    f.control(Control::Shutdown);
+    f.shutdown();
 }

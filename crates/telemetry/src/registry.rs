@@ -73,7 +73,7 @@ pub enum Counter {
     BytesOut,
     /// `Stats` RPCs served.
     StatsRequests,
-    /// Pipelined RPC batches drained.
+    /// Pipelined RPC batches (messages of more than one request) drained.
     BatchRpcs,
     /// Faults injected by a fault-injection transport wrapper.
     FaultsInjected,

@@ -125,24 +125,14 @@ fn multiget_over_tcp_is_one_flush_per_worker() {
                 let batches = Arc::clone(&batches);
                 std::thread::spawn(move || {
                     while let Some(msg) = rx.recv() {
-                        match &msg {
-                            WorkerMsg::Rpc { .. } => {
+                        // A pipelined envelope shows up as one
+                        // multi-request message.
+                        if let WorkerMsg::Rpc { reqs, .. } = &msg {
+                            if reqs.len() > 1 {
+                                batches.fetch_add(1, Ordering::SeqCst);
+                            } else {
                                 singles.fetch_add(1, Ordering::SeqCst);
                             }
-                            WorkerMsg::RpcBatch { .. } => {
-                                batches.fetch_add(1, Ordering::SeqCst);
-                            }
-                            // The event-loop backend tags every enqueue;
-                            // a pipelined envelope shows up as one
-                            // multi-request message.
-                            WorkerMsg::RpcTagged { reqs, .. } => {
-                                if reqs.len() > 1 {
-                                    batches.fetch_add(1, Ordering::SeqCst);
-                                } else {
-                                    singles.fetch_add(1, Ordering::SeqCst);
-                                }
-                            }
-                            WorkerMsg::Control(_) => {}
                         }
                         if real.send(msg).is_err() {
                             break;
