@@ -9,29 +9,51 @@
 //! arbitrary reads, and an outbound queue of reference-counted
 //! [`Bytes`] fragments flushed with vectored writes.
 //!
+//! ## Serving a batch
+//!
+//! Each decoded frame is one batch of requests. When the worker is idle
+//! (its [`WorkerCell`] unlocked, its mailbox empty, every request one
+//! that may run inline) and the connection has no batch in the mailbox,
+//! the loop serves the batch on its own thread with
+//! [`WorkerCell::try_serve_batch`] — run to completion, no thread
+//! handoff. Otherwise the batch is enqueued as one [`WorkerMsg::Rpc`]
+//! whose completion, run on the worker's thread, pushes the responses
+//! onto the loop's completion channel and rings the loop's waker pipe to
+//! pop it out of `epoll_wait`.
+//!
 //! ## Zero-copy response path
 //!
-//! Each decoded frame is enqueued to the worker as one
-//! [`WorkerMsg::Rpc`] whose completion, run on the worker's thread,
-//! pushes the responses onto the loop's completion channel and rings
-//! the loop's waker pipe to pop it out of `epoll_wait`. Responses are
-//! encoded with [`codec::encode_response_frags`], which keeps each
-//! value payload as a refcount-bumped [`Bytes`] clone of the engine's
-//! own buffer — header and metadata are owned fragments, values are
-//! borrowed ones — and the flush hands every fragment to `writev` via
-//! [`IoSlice`]. A cached value is therefore never memcpy'd between the
+//! Responses, inline or completed, are encoded with
+//! [`codec::encode_response_frags`], which keeps each value payload as a
+//! refcount-bumped [`Bytes`] clone of the engine's own buffer — header
+//! and metadata are owned fragments, values are borrowed ones — and the
+//! flush hands every fragment to `writev` via [`IoSlice`]. Inline
+//! responses wait for the flush that follows the read, so the answers
+//! to every frame of one read leave together, up to 64 fragments per
+//! `writev`. A cached value is therefore never memcpy'd between the
 //! engine's return and the kernel.
 //!
 //! ## Ordering
 //!
-//! Responses must leave a connection in request order. That holds with
-//! no sequencing machinery because each loop serves exactly one
-//! worker whose mailbox is FIFO: batch *k+1* is enqueued after batch
-//! *k*, completes after it, and its completion is drained after it.
+//! Responses must leave a connection in request order. Two rules give
+//! that with no sequencing machinery. The mailbox is FIFO: each loop
+//! serves exactly one worker, so batch *k+1* is enqueued after batch
+//! *k*, completes after it, and its completion is drained after it. And
+//! nothing is served inline while the connection has a batch in the
+//! mailbox (`pending > 0`): completions are drained only after a
+//! round's events, so a later frame can be read while an earlier
+//! batch's responses are still undrained, and serving it inline would
+//! answer it first.
+//!
+//! ## Half-close
+//!
+//! A peer may send its requests and shut down its write side. Every
+//! complete frame read before the EOF is served, then the connection
+//! closes once its answers are flushed.
 
 use crate::config::IoConfig;
-use crate::mailbox::Mailbox;
 use crate::messages::WorkerMsg;
+use crate::worker::WorkerCell;
 use bytes::Bytes;
 use crossbeam_channel::Sender;
 use mbal_netpoll::{Interest, PollEvent, Poller};
@@ -106,7 +128,9 @@ struct Conn {
     out: VecDeque<Bytes>,
     /// Bytes of `out[0]` already written.
     out_head: usize,
-    /// Tagged batches in flight at the worker.
+    /// Tagged batches sent to the worker's mailbox and not yet drained
+    /// from the completion channel. Nothing is served inline while
+    /// this is non-zero (see "Ordering").
     pending: usize,
     /// Last moment bytes arrived or left; drives idle reaping.
     last_active: Instant,
@@ -151,7 +175,7 @@ pub(crate) struct EventLoop {
     poller: Poller,
     waker: Arc<LoopWaker>,
     waker_rx: UnixStream,
-    worker: Mailbox<WorkerMsg>,
+    worker: Arc<WorkerCell>,
     cfg: IoConfig,
 }
 
@@ -161,7 +185,7 @@ impl EventLoop {
     /// on platforms without epoll.
     pub(crate) fn new(
         listener: TcpListener,
-        worker: Mailbox<WorkerMsg>,
+        worker: Arc<WorkerCell>,
         cfg: IoConfig,
     ) -> std::io::Result<EventLoop> {
         let poller = Poller::new()?;
@@ -185,6 +209,7 @@ impl EventLoop {
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut next_token = FIRST_CONN;
         let mut events: Vec<PollEvent> = Vec::new();
+        let mut read_buf = vec![0u8; READ_BUF];
         // Sweep cadence: half the idle timeout, clamped to [10ms, 1s], so a
         // connection overstays by at most 50%.
         let wait_ms = self
@@ -220,11 +245,18 @@ impl EventLoop {
                             Verdict::Keep
                         };
                         if verdict == Verdict::Keep && ev.readable {
-                            verdict =
-                                on_readable(conn, token, &self.worker, &done_tx, &self.waker, now);
-                            // A protocol-error frame queued during decode has
-                            // no completion coming to flush it — push it out
-                            // now or the peer waits forever.
+                            verdict = on_readable(
+                                conn,
+                                token,
+                                &mut read_buf,
+                                &self.worker,
+                                &done_tx,
+                                &self.waker,
+                                now,
+                            );
+                            // Inline responses and protocol-error frames
+                            // queued during the read have no completion
+                            // coming to flush them: push them out now.
                             if verdict == Verdict::Keep && !conn.out.is_empty() && !conn.wants_write
                             {
                                 verdict = flush(conn, &self.poller, token, now);
@@ -302,26 +334,23 @@ fn drain_waker(rx: &UnixStream) {
     while matches!((&*rx).read(&mut buf), Ok(n) if n > 0) {}
 }
 
-/// Reads everything the socket has, reassembles frames, and enqueues
-/// decoded requests to the worker.
+/// Reads everything the socket has into `buf`, reassembles frames, and
+/// serves or enqueues each decoded batch. Frames read before an EOF
+/// are still served; the connection closes once they are answered.
 fn on_readable(
     conn: &mut Conn,
     token: u64,
-    worker: &Mailbox<WorkerMsg>,
+    buf: &mut [u8],
+    worker: &WorkerCell,
     done_tx: &Sender<(RpcTag, Vec<Response>)>,
     waker: &Arc<LoopWaker>,
     now: Instant,
 ) -> Verdict {
-    let mut buf = [0u8; READ_BUF];
+    let mut eof = false;
     loop {
-        match conn.stream.read(&mut buf) {
+        match conn.stream.read(buf) {
             Ok(0) => {
-                // Peer finished sending. Serve what is in flight, then
-                // close; nothing buffered means close now.
-                conn.closing = true;
-                if conn.drained() {
-                    return Verdict::Drop;
-                }
+                eof = true;
                 break;
             }
             Ok(n) => {
@@ -349,16 +378,25 @@ fn on_readable(
             }
         }
     }
+    if eof {
+        // Peer finished sending. Answer what was read, then close;
+        // nothing left to answer means close now.
+        conn.closing = true;
+        if conn.drained() {
+            return Verdict::Drop;
+        }
+    }
     Verdict::Keep
 }
 
-/// Decodes one frame and enqueues it as a tagged batch. Decode errors
-/// answer a protocol error and start closing.
+/// Decodes one frame and serves it inline if the worker is idle and the
+/// connection has nothing in the mailbox, else enqueues it as a tagged
+/// batch. Decode errors answer a protocol error and start closing.
 fn dispatch(
     conn: &mut Conn,
     token: u64,
     frame: &[u8],
-    worker: &Mailbox<WorkerMsg>,
+    worker: &WorkerCell,
     done_tx: &Sender<(RpcTag, Vec<Response>)>,
     waker: &Arc<LoopWaker>,
 ) -> Verdict {
@@ -390,22 +428,46 @@ fn dispatch(
             }
         }
     };
+    // An earlier batch still in the mailbox must answer first.
+    let reqs = if conn.pending == 0 {
+        match worker.try_serve_batch(reqs) {
+            Ok(resps) => return queue_responses(conn, &resps, meta),
+            Err(reqs) => reqs,
+        }
+    } else {
+        reqs
+    };
     let tag = RpcTag { conn: token, meta };
     let (done_tx, waker) = (done_tx.clone(), Arc::clone(waker));
     let done = Box::new(move |resps| {
         let _ = done_tx.send((tag, resps));
         waker.wake();
     });
-    if worker.send(WorkerMsg::Rpc { reqs, done }).is_err() {
+    if worker
+        .mailbox()
+        .send(WorkerMsg::Rpc { reqs, done })
+        .is_err()
+    {
         return Verdict::Drop; // worker is gone; nothing to serve
     }
     conn.pending += 1;
     Verdict::Keep
 }
 
-/// Encodes a completed batch onto the connection's outbound queue and
-/// flushes. Value payloads enter the queue as refcounted [`Bytes`]
-/// clones — no copy between the engine's buffer and `writev`.
+/// Encodes a batch's responses onto the connection's outbound queue.
+/// Value payloads enter the queue as refcounted [`Bytes`] clones — no
+/// copy between the engine's buffer and `writev`.
+fn queue_responses(conn: &mut Conn, resps: &[Response], meta: Vec<(Opcode, u32)>) -> Verdict {
+    for (resp, (opcode, opaque)) in resps.iter().zip(meta) {
+        match codec::encode_response_frags(resp, opcode, opaque) {
+            Ok(frags) => conn.out.extend(frags),
+            Err(_) => return Verdict::Drop,
+        }
+    }
+    Verdict::Keep
+}
+
+/// Queues a completed batch's responses and flushes.
 fn on_complete(
     conn: &mut Conn,
     poller: &Poller,
@@ -415,11 +477,8 @@ fn on_complete(
     now: Instant,
 ) -> Verdict {
     conn.pending = conn.pending.saturating_sub(1);
-    for (resp, (opcode, opaque)) in resps.iter().zip(tag.meta) {
-        match codec::encode_response_frags(resp, opcode, opaque) {
-            Ok(frags) => conn.out.extend(frags),
-            Err(_) => return Verdict::Drop,
-        }
+    if queue_responses(conn, &resps, tag.meta) == Verdict::Drop {
+        return Verdict::Drop;
     }
     flush(conn, poller, token, now)
 }

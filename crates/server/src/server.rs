@@ -18,7 +18,6 @@
 //! [`Server::start_balance_thread`] on real time.
 
 use crate::config::ServerConfig;
-use crate::mailbox::Mailbox;
 use crate::messages::{EpochReport, MigrationBatch, WorkerMsg};
 use crate::transport::{InProcRegistry, Transport, TransportError, DEFAULT_DEADLINE};
 use crate::unit::CacheUnit;
@@ -213,12 +212,14 @@ impl Server {
             .collect()
     }
 
-    /// Worker mailboxes paired with their addresses, for wiring a TCP
-    /// front end via [`crate::tcp::serve_tcp`].
-    pub fn worker_mailboxes(&self) -> Vec<(WorkerAddr, Mailbox<WorkerMsg>)> {
+    /// Worker cells (each holding the worker's mailbox) paired with
+    /// their addresses, for wiring a TCP front end via
+    /// [`crate::tcp::serve_tcp`]: each worker's event loop serves
+    /// batches inline on an idle worker and queues the rest.
+    pub fn worker_mailboxes(&self) -> Vec<(WorkerAddr, Arc<WorkerCell>)> {
         self.worker_addrs()
             .into_iter()
-            .zip(self.workers.iter().map(|c| c.mailbox().clone()))
+            .zip(self.workers.iter().cloned())
             .collect()
     }
 

@@ -15,9 +15,8 @@
 
 use crate::config::IoConfig;
 use crate::event_loop::EventLoop;
-use crate::mailbox::Mailbox;
-use crate::messages::WorkerMsg;
 use crate::transport::{batch_errs, Transport, TransportError, DEFAULT_DEADLINE};
+use crate::worker::WorkerCell;
 use crossbeam_channel::{Receiver, Sender};
 use mbal_core::types::WorkerAddr;
 use mbal_proto::codec::{self, HEADER_LEN};
@@ -87,8 +86,15 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
 /// addresses, serving with the default I/O configuration
 /// (environment-overridable). Serving threads run until the process
 /// exits.
+///
+/// Each worker's event loop serves a decoded batch on its own thread
+/// when the worker's cell is idle (the rule of
+/// [`WorkerCell::try_serve_batch`]) and the connection has no batch in
+/// the mailbox, and enqueues it otherwise. A cell made with
+/// [`WorkerCell::detached`] never serves inline, so every batch reaches
+/// its mailbox.
 pub fn serve_tcp(
-    workers: &[(WorkerAddr, Mailbox<WorkerMsg>)],
+    workers: &[(WorkerAddr, Arc<WorkerCell>)],
     host: &str,
     base_port: u16,
 ) -> std::io::Result<Vec<(WorkerAddr, SocketAddr)>> {
@@ -104,7 +110,7 @@ pub fn serve_tcp(
 /// with [`ErrorKind::InvalidInput`] before anything is bound; a host
 /// without epoll fails with [`ErrorKind::Unsupported`].
 pub fn serve_tcp_with(
-    workers: &[(WorkerAddr, Mailbox<WorkerMsg>)],
+    workers: &[(WorkerAddr, Arc<WorkerCell>)],
     host: &str,
     base_port: u16,
     io: IoConfig,
@@ -123,7 +129,7 @@ pub fn serve_tcp_with(
     mbal_netpoll::raise_nofile_limit(want).ok();
     let mut bound = Vec::with_capacity(workers.len());
     let mut loops = Vec::with_capacity(workers.len());
-    for (i, (addr, mailbox)) in workers.iter().enumerate() {
+    for (i, (addr, cell)) in workers.iter().enumerate() {
         // Base port 0 gives every worker an ephemeral port.
         let port = if base_port == 0 {
             0
@@ -132,7 +138,7 @@ pub fn serve_tcp_with(
         };
         let listener = TcpListener::bind((host, port))?;
         bound.push((*addr, listener.local_addr()?));
-        loops.push(EventLoop::new(listener, mailbox.clone(), io.clone())?);
+        loops.push(EventLoop::new(listener, Arc::clone(cell), io.clone())?);
     }
     for ((addr, _), event_loop) in bound.iter().zip(loops) {
         std::thread::Builder::new()
@@ -537,13 +543,16 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mailbox::Mailbox;
+    use crate::messages::WorkerMsg;
     use mbal_core::types::CacheletId;
     use mbal_proto::codec::opcode_of;
     use mbal_proto::Status;
 
     /// A loopback worker that stores into a HashMap (protocol-level test
-    /// without the full server). Handles both single RPCs and batches.
-    fn spawn_map_worker() -> Mailbox<WorkerMsg> {
+    /// without the full server). Handles both single RPCs and batches;
+    /// its cell is detached, so every batch goes through the mailbox.
+    fn spawn_map_worker() -> Arc<WorkerCell> {
         use mbal_core::types::Value;
         let tx = Mailbox::new();
         let rx = tx.clone();
@@ -576,14 +585,14 @@ mod tests {
                 }
             }
         });
-        tx
+        WorkerCell::detached(tx)
     }
 
     #[test]
     fn tcp_roundtrip_set_get_delete() {
         let worker = WorkerAddr::new(0, 0);
-        let tx = spawn_map_worker();
-        let bound = serve_tcp(&[(worker, tx)], "127.0.0.1", 0).expect("bind");
+        let cell = spawn_map_worker();
+        let bound = serve_tcp(&[(worker, cell)], "127.0.0.1", 0).expect("bind");
         let transport = TcpTransport::new(bound.into_iter().collect());
 
         let set = transport
@@ -650,8 +659,8 @@ mod tests {
     #[test]
     fn connections_are_reused() {
         let worker = WorkerAddr::new(0, 0);
-        let tx = spawn_map_worker();
-        let bound = serve_tcp(&[(worker, tx)], "127.0.0.1", 0).expect("bind");
+        let cell = spawn_map_worker();
+        let bound = serve_tcp(&[(worker, cell)], "127.0.0.1", 0).expect("bind");
         let transport = TcpTransport::new(bound.into_iter().collect());
         for i in 0..50u32 {
             let r = transport
@@ -674,8 +683,8 @@ mod tests {
     #[test]
     fn batch_roundtrips_over_tcp() {
         let worker = WorkerAddr::new(0, 0);
-        let tx = spawn_map_worker();
-        let bound = serve_tcp(&[(worker, tx)], "127.0.0.1", 0).expect("bind");
+        let cell = spawn_map_worker();
+        let bound = serve_tcp(&[(worker, cell)], "127.0.0.1", 0).expect("bind");
         let transport = TcpTransport::new(bound.into_iter().collect());
 
         let mut reqs: Vec<Request> = (0..8)
@@ -711,8 +720,8 @@ mod tests {
     #[test]
     fn malformed_frame_errors_and_closes_but_worker_survives() {
         let worker = WorkerAddr::new(0, 0);
-        let tx = spawn_map_worker();
-        let bound = serve_tcp(&[(worker, tx)], "127.0.0.1", 0).expect("bind");
+        let cell = spawn_map_worker();
+        let bound = serve_tcp(&[(worker, cell)], "127.0.0.1", 0).expect("bind");
         let sock = bound[0].1;
 
         // Bad magic: the server answers with a protocol error, then
@@ -811,7 +820,7 @@ mod tests {
     #[test]
     fn a_port_range_past_65535_is_refused_before_binding() {
         let workers: Vec<_> = (0..2)
-            .map(|w| (WorkerAddr::new(0, w), Mailbox::new()))
+            .map(|w| (WorkerAddr::new(0, w), WorkerCell::detached(Mailbox::new())))
             .collect();
         let err = serve_tcp(&workers, "127.0.0.1", u16::MAX).expect_err("range overflows u16");
         assert_eq!(err.kind(), ErrorKind::InvalidInput);
@@ -820,7 +829,7 @@ mod tests {
     #[test]
     fn a_failed_bind_leaves_no_worker_listening() {
         let workers: Vec<_> = (0..2)
-            .map(|w| (WorkerAddr::new(0, w), Mailbox::new()))
+            .map(|w| (WorkerAddr::new(0, w), WorkerCell::detached(Mailbox::new())))
             .collect();
         // Find two consecutive free ports P and P+1, then hold P+1.
         let (base, _blocker) = (0..64)

@@ -1217,10 +1217,12 @@ fn tenant_op(req: &Request) -> Option<TenantOp> {
 /// A worker as the rest of the process sees it: its mailbox, and the
 /// cell that holds the worker's state.
 ///
-/// The worker's thread and in-proc callers take turns on the cell. An
-/// in-proc call that finds the cell unlocked and the mailbox empty is
-/// served on the caller's own thread ([`WorkerCell::try_serve`]), which
-/// saves the mailbox hop; otherwise it queues like every other message.
+/// The worker's thread, in-proc callers and the worker's TCP event loop
+/// take turns on the cell. An in-proc call or a decoded TCP batch that
+/// finds the cell unlocked and the mailbox empty is served on the
+/// calling thread ([`WorkerCell::try_serve`],
+/// [`WorkerCell::try_serve_batch`]), which saves the mailbox hop;
+/// otherwise it queues like every other message.
 /// Requests that build long-lived worker memory (a store needing a
 /// fresh slab chunk, replica and migration installs) always queue, and
 /// so do steps ([`WorkerCell::ask`], [`WorkerCell::tell`]).
@@ -1260,18 +1262,27 @@ impl WorkerCell {
     }
 
     /// Serves `req` on the calling thread if the worker is idle, else
-    /// hands `req` back for the mailbox.
+    /// hands `req` back for the mailbox. Counts one `InlineRpcs`.
     pub fn try_serve(&self, req: Request) -> Result<Response, Request> {
         match self.lock_idle(std::slice::from_ref(&req)) {
-            Some(mut w) => Ok(w.as_mut().expect("checked idle").handle_rpc(req)),
+            Some(mut w) => {
+                let w = w.as_mut().expect("checked idle");
+                w.ctx.metrics.incr(Counter::InlineRpcs);
+                Ok(w.handle_rpc(req))
+            }
             None => Err(req),
         }
     }
 
-    /// [`WorkerCell::try_serve`] for a pipelined batch.
+    /// [`WorkerCell::try_serve`] for a pipelined batch; the whole batch
+    /// counts one `InlineRpcs`.
     pub fn try_serve_batch(&self, reqs: Vec<Request>) -> Result<Vec<Response>, Vec<Request>> {
         match self.lock_idle(&reqs) {
-            Some(mut w) => Ok(w.as_mut().expect("checked idle").handle_batch(reqs)),
+            Some(mut w) => {
+                let w = w.as_mut().expect("checked idle");
+                w.ctx.metrics.incr(Counter::InlineRpcs);
+                Ok(w.handle_batch(reqs))
+            }
             None => Err(reqs),
         }
     }

@@ -15,10 +15,12 @@ use mbal_proto::{Request, Response, Status};
 use mbal_server::mailbox::Mailbox;
 use mbal_server::messages::WorkerMsg;
 use mbal_server::tcp::serve_tcp_with;
+use mbal_server::worker::WorkerCell;
 use mbal_server::IoConfig;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Threads in this process, per the kernel's own books.
@@ -31,8 +33,9 @@ fn thread_count() -> usize {
         .expect("Threads: line")
 }
 
-/// A minimal in-memory worker speaking the mailbox protocol.
-fn spawn_worker() -> Mailbox<WorkerMsg> {
+/// A minimal in-memory worker speaking the mailbox protocol, behind a
+/// detached cell (every batch goes through the mailbox).
+fn spawn_worker() -> Arc<WorkerCell> {
     let tx = Mailbox::new();
     let rx = tx.clone();
     std::thread::spawn(move || {
@@ -60,7 +63,7 @@ fn spawn_worker() -> Mailbox<WorkerMsg> {
             }
         }
     });
-    tx
+    WorkerCell::detached(tx)
 }
 
 #[test]

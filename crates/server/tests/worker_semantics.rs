@@ -1216,3 +1216,71 @@ fn state_building_requests_are_left_to_the_worker_thread() {
     assert!(f.cell.try_serve_batch(vec![set_k("c"), install]).is_err());
     f.shutdown();
 }
+
+/// Over TCP, a pipelined stream that alternates a request the worker
+/// thread must serve (`ReplicaInstall`) with one an idle worker serves
+/// on the event loop (`ReplicaRead`) is answered in request order, and
+/// every read sees the install before it.
+#[test]
+fn pipelined_tcp_answers_keep_request_order_across_inline_and_mailbox_serves() {
+    use mbal_proto::codec;
+    use std::io::{BufWriter, Read, Write};
+
+    const PAIRS: u32 = 10_000;
+    let addr = WorkerAddr::new(0, 0);
+    let f = fixture(addr, &[]);
+    let bound =
+        mbal_server::tcp::serve_tcp(&[(addr, Arc::clone(&f.cell))], "127.0.0.1", 0).expect("bind");
+    let stream = std::net::TcpStream::connect(bound[0].1).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = stream.try_clone().expect("clone");
+    reader
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    let value = |i: u32| format!("v{i}").into_bytes();
+    let writer = std::thread::spawn(move || {
+        let mut out = BufWriter::new(stream);
+        for i in 0..PAIRS {
+            let key = format!("k{i}").into_bytes();
+            let install = Request::ReplicaInstall {
+                key: key.clone(),
+                value: value(i).into(),
+                lease_expiry_ms: u64::MAX,
+            };
+            let read = Request::ReplicaRead { key };
+            for (req, opaque) in [(install, 2 * i), (read, 2 * i + 1)] {
+                let frame = codec::encode_request(&req, opaque).expect("encode");
+                out.write_all(&frame).expect("write");
+            }
+        }
+        out.flush().expect("flush");
+        out
+    });
+    for opaque in 0..2 * PAIRS {
+        let mut header = [0u8; codec::HEADER_LEN];
+        reader.read_exact(&mut header).expect("response header");
+        let total = codec::frame_len(&header).expect("framed");
+        let mut frame = vec![0u8; total];
+        frame[..codec::HEADER_LEN].copy_from_slice(&header);
+        reader
+            .read_exact(&mut frame[codec::HEADER_LEN..])
+            .expect("response body");
+        let (resp, _, got) = codec::decode_response(&frame).expect("decode");
+        assert_eq!(got, opaque, "answers left request order");
+        let want = if opaque % 2 == 0 {
+            Response::Stored
+        } else {
+            Response::Value {
+                value: value(opaque / 2).into(),
+                replicas: vec![],
+            }
+        };
+        assert_eq!(resp, want, "answer to frame {opaque}");
+    }
+    drop(writer.join().expect("writer"));
+    assert!(
+        f.epoch().load.metrics.get(Counter::InlineRpcs) > 0,
+        "no read was served inline, so the test proves nothing"
+    );
+    f.shutdown();
+}

@@ -106,11 +106,15 @@ pub enum Counter {
     SketchPromotions,
     /// Assignments redirected off a worker at the bounded-load cap.
     RingCapSpills,
+    /// RPC messages (one request or one pipelined batch) served on the
+    /// caller's thread — an in-proc caller or a TCP event loop — instead
+    /// of through the worker's mailbox.
+    InlineRpcs,
 }
 
 impl Counter {
     /// Number of counters in the catalog.
-    pub const COUNT: usize = 41;
+    pub const COUNT: usize = 42;
 
     /// Every counter, in index order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -155,6 +159,7 @@ impl Counter {
         Counter::FrontStaleRejected,
         Counter::SketchPromotions,
         Counter::RingCapSpills,
+        Counter::InlineRpcs,
     ];
 
     /// Stable wire/exposition name.
@@ -201,6 +206,7 @@ impl Counter {
             Counter::FrontStaleRejected => "front_stale_rejected",
             Counter::SketchPromotions => "sketch_promotions",
             Counter::RingCapSpills => "ring_cap_spills",
+            Counter::InlineRpcs => "inline_rpcs",
         }
     }
 }

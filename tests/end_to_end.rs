@@ -87,10 +87,12 @@ fn tcp_cluster_set_get_delete() {
 fn multiget_over_tcp_is_one_flush_per_worker() {
     use mbal::server::mailbox::Mailbox;
     use mbal::server::messages::WorkerMsg;
+    use mbal::server::worker::WorkerCell;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     // Like `build`, but every worker mailbox is wrapped in a counting
-    // relay, so the test observes exactly what the TCP layer enqueues:
+    // relay behind a detached cell (which never serves inline), so the
+    // test observes exactly what the TCP layer enqueues:
     // a 64-key MultiGET must reach each home worker as ONE pipelined
     // batch (one request flush, one response drain), never as 64
     // singleton round-trips.
@@ -134,12 +136,12 @@ fn multiget_over_tcp_is_one_flush_per_worker() {
                                 singles.fetch_add(1, Ordering::SeqCst);
                             }
                         }
-                        if real.send(msg).is_err() {
+                        if real.mailbox().send(msg).is_err() {
                             break;
                         }
                     }
                 });
-                (addr, tx)
+                (addr, WorkerCell::detached(tx))
             })
             .collect();
         let bound = serve_tcp(&relayed, "127.0.0.1", 0).expect("bind");

@@ -82,6 +82,13 @@ fn stats_over_tcp_report_issued_traffic() {
     assert_eq!(sets, N, "every SET must be counted exactly once");
     assert_eq!(gets, N, "every GET must be counted exactly once");
     assert_eq!(hits, N, "every GET was a hit");
+    // The workers sat idle between one-at-a-time calls, so the event
+    // loops served some of them on their own threads.
+    let inline: u64 = reports
+        .iter()
+        .map(|r| r.load.metrics.get(Counter::InlineRpcs))
+        .sum();
+    assert!(inline > 0, "no TCP batch was served inline");
 
     // Latency histograms recorded every op, with sane percentiles.
     let read_count: u64 = reports.iter().map(|r| r.read_latency.count).sum();

@@ -200,3 +200,42 @@ fn dead_endpoint_fails_fast_over_tcp() {
         s.shutdown();
     }
 }
+
+/// A peer that writes one request and shuts down its write side, so the
+/// request bytes and the FIN can arrive in one readable event, still
+/// gets its answer before the server closes.
+#[test]
+fn a_request_followed_by_a_half_close_is_answered() {
+    let mut ring = ConsistentRing::new();
+    ring.add_worker(WorkerAddr::new(0, 0));
+    let mapping = MappingTable::build(&ring, 4, 256);
+    let coordinator = Arc::new(Coordinator::new(mapping.clone(), BalancerConfig::default()));
+    let mut server = Server::spawn(
+        ServerConfig::new(ServerId(0), 1, 64 << 20).cachelets_per_worker(4),
+        &mapping,
+        &InProcRegistry::new(),
+        coordinator,
+        Arc::new(RealClock::new()),
+    );
+    let sock = serve_tcp(&server.worker_mailboxes(), "127.0.0.1", 0).expect("bind")[0].1;
+    let frame = codec::encode_request(&Request::Stats { reset: false }, 7).expect("encode");
+    for attempt in 0..20 {
+        let mut stream = TcpStream::connect(sock).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        stream.write_all(&frame).expect("write request");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut answers = 0;
+        while let Some(resp) = read_frame(&mut stream) {
+            let (resp, _, opaque) = codec::decode_response(&resp).expect("response frame");
+            assert!(matches!(resp, Response::StatsBlob { .. }), "got {resp:?}");
+            assert_eq!(opaque, 7);
+            answers += 1;
+        }
+        assert_eq!(answers, 1, "attempt {attempt}: one answer, then EOF");
+    }
+    server.shutdown();
+}
