@@ -16,7 +16,6 @@ use mbal_bench::loadgen::{
     compare_to_baseline_with, run_cell, run_matrix, CellResult, DefenseMode, LoadgenConfig,
     LoadgenReport, Mix, TenancyMode, TransportMode,
 };
-use mbal_core::engine::EngineKind;
 use mbal_scenario::{AutoscalerConfig, DiurnalCurve};
 
 fn flag(name: &str) -> Option<String> {
@@ -29,14 +28,14 @@ fn flag(name: &str) -> Option<String> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mbal-loadgen [--mix M1,M2] [--phases P1,P2] [--engine E1,E2] [--defense D] \
+        "usage: mbal-loadgen [--mix M1,M2] [--phases P1,P2] [--defense D] \
          [--rate OPS] [--threads N] [--warmup-secs S] [--measure-secs S] [--records N] [--seed N] \
          [--transport inproc|tcp] [--servers N] [--workers N] [--out PATH] \
          [--diurnal flat|two-phase:LOW|T:M,T:M,…] [--autoscale on|off] [--spares N] \
          [--origin-fetch-ms MS] [--compare BASELINE.json [--tolerance FRAC]]\n\
          mixes: ycsb-a ycsb-b ycsb-c hotshift ttl-heavy multi-tenant extreme-zipf \
          video-cdn social-feed session-store; \
-         phases: off p1 p2 p3 p1p2 all …; engines: slab seg; \
+         phases: off p1 p2 p3 p1p2 all …; \
          defenses: off front bounded both\n\
          (multi-tenant runs each cell twice: static partitioning, then arbitrated; \
          extreme-zipf runs each cell once per defense combination; --autoscale holds \
@@ -80,11 +79,6 @@ fn main() {
         &[PhaseSet::none(), PhaseSet::all()],
         PhaseSet::parse,
     );
-    let engines = parse_list(
-        flag("--engine"),
-        &[EngineKind::from_env()],
-        EngineKind::parse,
-    );
     let num = |name: &str, default: u64| -> u64 {
         flag(name).map_or(default, |v| v.parse().unwrap_or_else(|_| usage()))
     };
@@ -105,7 +99,6 @@ fn main() {
         }),
         servers: num("--servers", 2) as u16,
         workers_per_server: num("--workers", 2) as u16,
-        engine: engines[0],
         tenancy: TenancyMode::Off,
         defense: flag("--defense").map_or(DefenseMode::Off, |v| {
             DefenseMode::parse(&v).unwrap_or_else(|| usage())
@@ -122,9 +115,8 @@ fn main() {
     let out_path = flag("--out").unwrap_or_else(|| "BENCH_results.json".into());
 
     eprintln!(
-        "mbal-loadgen: {} engine(s) × {} mix(es) × {} phase set(s), {} ops/s over {} thread(s), \
+        "mbal-loadgen: {} mix(es) × {} phase set(s), {} ops/s over {} thread(s), \
          {:.1}s warmup + {:.1}s measure, transport {}",
-        engines.len(),
         mixes.len(),
         phase_sets.len(),
         base.rate,
@@ -133,11 +125,10 @@ fn main() {
         base.measure_secs,
         base.transport.label()
     );
-    let report = run_matrix(&base, &mixes, &phase_sets, &engines);
+    let report = run_matrix(&base, &mixes, &phase_sets);
 
     println!(
-        "{:<6} {:<12} {:<6} {:<10} {:<8} {:>9} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6}  reconciled",
-        "engine",
+        "{:<12} {:<6} {:<10} {:<8} {:>9} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6}  reconciled",
         "mix",
         "phases",
         "tenancy",
@@ -152,8 +143,7 @@ fn main() {
     );
     for c in &report.cells {
         println!(
-            "{:<6} {:<12} {:<6} {:<10} {:<8} {:>9.0} {:>8} {:>8} {:>8} {:>8} {:>6.2} {:>6}  {}",
-            c.engine,
+            "{:<12} {:<6} {:<10} {:<8} {:>9.0} {:>8} {:>8} {:>8} {:>8} {:>6.2} {:>6}  {}",
             c.mix,
             c.phases,
             c.tenancy,
@@ -184,15 +174,14 @@ fn main() {
     }
     for d in &report.phase_deltas {
         println!(
-            "delta {:<6} {:<10} {:<6} p99 {:+}µs p999 {:+}µs mqps {:+.4}",
-            d.engine, d.mix, d.phases, d.p99_improvement_us, d.p999_improvement_us, d.mqps_delta
+            "delta {:<10} {:<6} p99 {:+}µs p999 {:+}µs mqps {:+.4}",
+            d.mix, d.phases, d.p99_improvement_us, d.p999_improvement_us, d.mqps_delta
         );
     }
     for d in &report.defense_deltas {
         println!(
-            "defense-delta {:<6} {:<12} {:<6} {:<8} p99 {:+}µs p999 {:+}µs worst {:+.2} \
+            "defense-delta {:<12} {:<6} {:<8} p99 {:+}µs p999 {:+}µs worst {:+.2} \
              front-hit {:.3} spills {}",
-            d.engine,
             d.mix,
             d.phases,
             d.defense,
@@ -205,13 +194,9 @@ fn main() {
     }
     for d in &report.tenant_deltas {
         println!(
-            "tenant-delta {:<6} {:<6} arbitrated−static hit-rate: overall {:+.4} quiet {:+.4} \
+            "tenant-delta {:<6} arbitrated−static hit-rate: overall {:+.4} quiet {:+.4} \
              noisy {:+.4}",
-            d.engine,
-            d.phases,
-            d.overall_hit_rate_gain,
-            d.quiet_hit_rate_gain,
-            d.noisy_hit_rate_gain,
+            d.phases, d.overall_hit_rate_gain, d.quiet_hit_rate_gain, d.noisy_hit_rate_gain,
         );
     }
 
@@ -241,7 +226,6 @@ fn main() {
             let cfg = LoadgenConfig {
                 mix: Mix::parse(&cell.mix)?,
                 phases: PhaseSet::parse(&cell.phases)?,
-                engine: EngineKind::parse(&cell.engine)?,
                 transport: TransportMode::parse(&cell.transport)?,
                 tenancy: match cell.tenancy.as_str() {
                     "static" => TenancyMode::Static,
@@ -257,8 +241,8 @@ fn main() {
                 ..base.clone()
             };
             eprintln!(
-                "baseline gate: re-measuring {}/{}/{}/{}/{} (transient-stall check)",
-                cell.engine, cell.mix, cell.phases, cell.tenancy, cell.defense
+                "baseline gate: re-measuring {}/{}/{}/{} (transient-stall check)",
+                cell.mix, cell.phases, cell.tenancy, cell.defense
             );
             Some(run_cell(&cfg))
         };

@@ -21,7 +21,6 @@ use mbal_balancer::coordinator::Coordinator;
 use mbal_balancer::{BalancerConfig, PhaseSet};
 use mbal_client::{Client, ClientStats, CoordinatorLink, FrontCacheConfig, SetOptions};
 use mbal_core::clock::{Clock, RealClock};
-use mbal_core::engine::EngineKind;
 use mbal_core::types::{Key, ServerId, TenantId, WorkerAddr};
 use mbal_membership::NodeState;
 use mbal_ring::{ConsistentRing, MappingTable};
@@ -173,7 +172,7 @@ pub enum Mix {
     /// through the run, forcing the balancer to chase a moving target.
     HotShift,
     /// WorkloadC with every update carrying a 1–8 s TTL, exercising the
-    /// engines' expiry and reclamation paths under churn.
+    /// engine's expiry and reclamation paths under churn.
     TtlHeavy,
     /// Three tenants with deliberately mismatched footprints and skews
     /// sharing one cluster (see [`tenant_plan`]): two well-behaved
@@ -355,8 +354,6 @@ pub struct LoadgenConfig {
     pub servers: u16,
     /// Worker threads per server.
     pub workers_per_server: u16,
-    /// Storage engine every worker runs.
-    pub engine: EngineKind,
     /// Multi-tenancy mode (admitted tenants + arbitration policy).
     pub tenancy: TenancyMode,
     /// Which skew defenses are armed.
@@ -390,7 +387,6 @@ impl Default for LoadgenConfig {
             transport: TransportMode::InProc,
             servers: 2,
             workers_per_server: 2,
-            engine: EngineKind::from_env(),
             tenancy: TenancyMode::Off,
             defense: DefenseMode::Off,
             diurnal: None,
@@ -807,7 +803,6 @@ impl Harness {
                     .cachelets_per_worker(4)
                     .balancer(bal.clone())
                     .worker_capacity(cfg.rate as f64 / workers_total as f64)
-                    .engine(cfg.engine)
                     .membership(cfg.autoscale.is_some())
                     .tenants(tenants.clone()),
                 &mapping,
@@ -974,10 +969,6 @@ pub struct ServerCounts {
     pub evicted_bytes: u64,
     /// Value bytes freed by expiry.
     pub expired_bytes: u64,
-    /// Whole segments reclaimed by proactive expiry (seg engine only).
-    pub segments_expired: u64,
-    /// Merge-based eviction passes (seg engine only).
-    pub seg_merges: u64,
     /// Cachelets shed by the bounded-load cap (defense telemetry).
     pub ring_cap_spills: u64,
 }
@@ -1041,8 +1032,6 @@ pub struct CellResult {
     pub phases: String,
     /// Transport label.
     pub transport: String,
-    /// Storage engine label (`slab`, `seg`).
-    pub engine: String,
     /// Tenancy label (`off`, `static`, `arbitrated`).
     pub tenancy: String,
     /// Defense label (`off`, `front`, `bounded`, `both`).
@@ -1538,8 +1527,6 @@ pub fn run_cell(cfg: &LoadgenConfig) -> CellResult {
         server_counts.expirations += r.load.metrics.get(Counter::Expirations);
         server_counts.evicted_bytes += r.load.metrics.get(Counter::EvictedBytes);
         server_counts.expired_bytes += r.load.metrics.get(Counter::ExpiredBytes);
-        server_counts.segments_expired += r.load.metrics.get(Counter::SegmentsExpired);
-        server_counts.seg_merges += r.load.metrics.get(Counter::SegMerges);
         server_counts.ring_cap_spills += r.load.metrics.get(Counter::RingCapSpills);
     }
     // Server-side per-tenant rows, summed across workers.
@@ -1630,7 +1617,6 @@ pub fn run_cell(cfg: &LoadgenConfig) -> CellResult {
         mix: cfg.mix.label().to_string(),
         phases: cfg.phases.label().to_string(),
         transport: cfg.transport.label().to_string(),
-        engine: cfg.engine.label().to_string(),
         tenancy: cfg.tenancy.label().to_string(),
         defense: cfg.defense.label().to_string(),
         diurnal: cfg
@@ -1683,18 +1669,14 @@ pub struct ConfigFingerprint {
     pub servers: u16,
     /// Workers per server.
     pub workers_per_server: u16,
-    /// Storage engine labels in the matrix.
-    pub engines: Vec<String>,
 }
 
 /// Tail/throughput movement of one cell against the balancing-off
-/// baseline of the same mix and engine.
+/// baseline of the same mix.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PhaseDelta {
     /// Workload mix label.
     pub mix: String,
-    /// Storage engine label.
-    pub engine: String,
     /// Phase gate label of the compared cell.
     pub phases: String,
     /// `p99(off) − p99(cell)` in µs: positive means balancing helped.
@@ -1706,14 +1688,12 @@ pub struct PhaseDelta {
 }
 
 /// Movement of one armed-defense cell against the defenses-off cell of
-/// the same mix, engine and phase set. Positive improvements mean the
+/// the same mix and phase set. Positive improvements mean the
 /// defense helped.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DefenseDelta {
     /// Workload mix label.
     pub mix: String,
-    /// Storage engine label.
-    pub engine: String,
     /// Phase gate label.
     pub phases: String,
     /// Defense label of the compared cell (`front`, `bounded`, `both`).
@@ -1732,11 +1712,9 @@ pub struct DefenseDelta {
 }
 
 /// Arbitrated-vs-static movement of one multi-tenant cell pair (same
-/// engine and phase set). Positive gains mean arbitration helped.
+/// phase set). Positive gains mean arbitration helped.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TenantDelta {
-    /// Storage engine label.
-    pub engine: String,
     /// Phase gate label.
     pub phases: String,
     /// `hit_rate(arbitrated) − hit_rate(static)` over every tenant's
@@ -1766,7 +1744,7 @@ pub struct LoadgenReport {
 }
 
 /// Compares a fresh report against a committed baseline: every cell
-/// whose coordinates (mix, phases, engine, tenancy, defense, transport,
+/// whose coordinates (mix, phases, tenancy, defense, transport,
 /// diurnal, autoscale) appear in both reports must keep its p99 within
 /// `tolerance`
 /// (fractional, e.g. `0.20` = +20%) of the baseline, plus a small
@@ -1821,7 +1799,6 @@ pub fn compare_to_baseline_with(
         let Some(cur) = current.cells.iter().find(|c| {
             c.mix == base.mix
                 && c.phases == base.phases
-                && c.engine == base.engine
                 && c.tenancy == base.tenancy
                 && c.defense == base.defense
                 && c.transport == base.transport
@@ -1843,65 +1820,45 @@ pub fn compare_to_baseline_with(
         }
         if p99 > budget {
             failures.push(format!(
-                "{}/{}/{}/{}/{} p99 regressed: {}µs vs baseline {}µs (budget {}µs)",
-                cur.engine,
-                cur.mix,
-                cur.phases,
-                cur.tenancy,
-                cur.defense,
-                p99,
-                base.latency.p99_us,
-                budget
+                "{}/{}/{}/{} p99 regressed: {}µs vs baseline {}µs (budget {}µs)",
+                cur.mix, cur.phases, cur.tenancy, cur.defense, p99, base.latency.p99_us, budget
             ));
         }
     }
     failures
 }
 
-/// Runs the full matrix: every engine × mix × phase set, sharing the
-/// pacing parameters of `base`.
-pub fn run_matrix(
-    base: &LoadgenConfig,
-    mixes: &[Mix],
-    phase_sets: &[PhaseSet],
-    engines: &[EngineKind],
-) -> LoadgenReport {
-    let engines = if engines.is_empty() {
-        vec![base.engine]
-    } else {
-        engines.to_vec()
-    };
+/// Runs the full matrix: every mix × phase set, sharing the pacing
+/// parameters of `base`.
+pub fn run_matrix(base: &LoadgenConfig, mixes: &[Mix], phase_sets: &[PhaseSet]) -> LoadgenReport {
     let mut cells = Vec::new();
-    for &engine in &engines {
-        for &mix in mixes {
-            for &phases in phase_sets {
-                // The multi-tenant mix is always a pair: the static-
-                // partitioning baseline and the arbitrated run, same
-                // schedule, so the delta is pure policy.
-                let tenancies: &[TenancyMode] = if mix == Mix::MultiTenant {
-                    &[TenancyMode::Static, TenancyMode::Arbitrated]
-                } else {
-                    &[TenancyMode::Off]
-                };
-                // The extreme-zipf mix is the skew-defense ablation: the
-                // identical schedule runs once per defense combination.
-                let defenses: &[DefenseMode] = if mix == Mix::ExtremeZipf {
-                    &DefenseMode::ALL
-                } else {
-                    std::slice::from_ref(&base.defense)
-                };
-                for &tenancy in tenancies {
-                    for &defense in defenses {
-                        let cfg = LoadgenConfig {
-                            mix,
-                            phases,
-                            engine,
-                            tenancy,
-                            defense,
-                            ..base.clone()
-                        };
-                        cells.push(run_cell(&cfg));
-                    }
+    for &mix in mixes {
+        for &phases in phase_sets {
+            // The multi-tenant mix is always a pair: the static-
+            // partitioning baseline and the arbitrated run, same
+            // schedule, so the delta is pure policy.
+            let tenancies: &[TenancyMode] = if mix == Mix::MultiTenant {
+                &[TenancyMode::Static, TenancyMode::Arbitrated]
+            } else {
+                &[TenancyMode::Off]
+            };
+            // The extreme-zipf mix is the skew-defense ablation: the
+            // identical schedule runs once per defense combination.
+            let defenses: &[DefenseMode] = if mix == Mix::ExtremeZipf {
+                &DefenseMode::ALL
+            } else {
+                std::slice::from_ref(&base.defense)
+            };
+            for &tenancy in tenancies {
+                for &defense in defenses {
+                    let cfg = LoadgenConfig {
+                        mix,
+                        phases,
+                        tenancy,
+                        defense,
+                        ..base.clone()
+                    };
+                    cells.push(run_cell(&cfg));
                 }
             }
         }
@@ -1911,11 +1868,10 @@ pub fn run_matrix(
         if c.phases == PhaseSet::none().label() {
             continue;
         }
-        // The phases-off baseline of the same mix, engine AND defense —
+        // The phases-off baseline of the same mix AND defense —
         // phase movement must never be conflated with defense movement.
         let Some(off) = cells.iter().find(|o| {
             o.mix == c.mix
-                && o.engine == c.engine
                 && o.tenancy == "off"
                 && o.defense == c.defense
                 && o.phases == PhaseSet::none().label()
@@ -1924,7 +1880,6 @@ pub fn run_matrix(
         };
         phase_deltas.push(PhaseDelta {
             mix: c.mix.clone(),
-            engine: c.engine.clone(),
             phases: c.phases.clone(),
             p99_improvement_us: off.latency.p99_us as i64 - c.latency.p99_us as i64,
             p999_improvement_us: off.latency.p999_us as i64 - c.latency.p999_us as i64,
@@ -1934,17 +1889,12 @@ pub fn run_matrix(
     let mut defense_deltas = Vec::new();
     for c in cells.iter().filter(|c| c.defense != "off") {
         let Some(off) = cells.iter().find(|o| {
-            o.mix == c.mix
-                && o.engine == c.engine
-                && o.tenancy == c.tenancy
-                && o.phases == c.phases
-                && o.defense == "off"
+            o.mix == c.mix && o.tenancy == c.tenancy && o.phases == c.phases && o.defense == "off"
         }) else {
             continue;
         };
         defense_deltas.push(DefenseDelta {
             mix: c.mix.clone(),
-            engine: c.engine.clone(),
             phases: c.phases.clone(),
             defense: c.defense.clone(),
             p99_improvement_us: off.latency.p99_us as i64 - c.latency.p99_us as i64,
@@ -1970,12 +1920,10 @@ pub fn run_matrix(
     };
     let mut tenant_deltas = Vec::new();
     for arb in cells.iter().filter(|c| c.tenancy == "arbitrated") {
-        let Some(stat) = cells.iter().find(|c| {
-            c.tenancy == "static"
-                && c.mix == arb.mix
-                && c.engine == arb.engine
-                && c.phases == arb.phases
-        }) else {
+        let Some(stat) = cells
+            .iter()
+            .find(|c| c.tenancy == "static" && c.mix == arb.mix && c.phases == arb.phases)
+        else {
             continue;
         };
         fn split(c: &CellResult, noisy: bool) -> Vec<&TenantCellResult> {
@@ -1985,7 +1933,6 @@ pub fn run_matrix(
             c.tenants.iter().collect()
         }
         tenant_deltas.push(TenantDelta {
-            engine: arb.engine.clone(),
             phases: arb.phases.clone(),
             overall_hit_rate_gain: hit_rate(&all(arb)) - hit_rate(&all(stat)),
             quiet_hit_rate_gain: hit_rate(&split(arb, false)) - hit_rate(&split(stat, false)),
@@ -2004,7 +1951,6 @@ pub fn run_matrix(
             transport: base.transport.label().to_string(),
             servers: base.servers,
             workers_per_server: base.workers_per_server,
-            engines: engines.iter().map(|e| e.label().to_string()).collect(),
         },
         cells,
         phase_deltas,
@@ -2126,7 +2072,6 @@ mod tests {
             mix: mix.into(),
             phases: "off".into(),
             transport: "inproc".into(),
-            engine: "slab".into(),
             tenancy: "off".into(),
             defense: defense.into(),
             diurnal: "flat".into(),
@@ -2167,7 +2112,6 @@ mod tests {
                 transport: "inproc".into(),
                 servers: 2,
                 workers_per_server: 2,
-                engines: vec!["slab".into()],
             },
             cells,
             phase_deltas: vec![],
@@ -2211,6 +2155,24 @@ mod tests {
         let back: LoadgenReport = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back.cells.len(), baseline.cells.len());
         assert!(compare_to_baseline(&bad, &back, 0.20).len() == 1);
+    }
+
+    #[test]
+    fn the_gate_matches_every_committed_baseline_cell() {
+        // The gate skips a baseline cell it cannot match, so a cell
+        // coordinate that stops lining up would pass silently. Push
+        // every cell of the committed baseline past its budget: each
+        // one must fail exactly once.
+        let baseline: LoadgenReport =
+            serde_json::from_str(include_str!("../../../BENCH_baseline.json"))
+                .expect("committed baseline parses");
+        assert!(!baseline.cells.is_empty());
+        let mut current = baseline.clone();
+        for c in &mut current.cells {
+            c.latency.p99_us = 2 * c.latency.p99_us + 10_000;
+        }
+        let failures = compare_to_baseline(&current, &baseline, 0.20);
+        assert_eq!(failures.len(), baseline.cells.len(), "{failures:?}");
     }
 
     #[test]

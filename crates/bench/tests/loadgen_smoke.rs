@@ -7,7 +7,6 @@ use mbal_bench::loadgen::{
     build_schedule, run_cell, schedule_digest, DefenseMode, LoadgenConfig, Mix, TenancyMode,
     TransportMode,
 };
-use mbal_core::engine::EngineKind;
 use mbal_workload::OpKind;
 
 fn smoke_cfg() -> LoadgenConfig {
@@ -23,7 +22,6 @@ fn smoke_cfg() -> LoadgenConfig {
         transport: TransportMode::InProc,
         servers: 2,
         workers_per_server: 2,
-        engine: EngineKind::from_env(),
         tenancy: TenancyMode::Off,
         defense: DefenseMode::Off,
         diurnal: None,
@@ -82,23 +80,6 @@ fn balancing_off_run_reconciles_counts_exactly() {
     // Every record was pre-loaded, so reads never miss.
     assert_eq!(cell.client.hits, cell.client.gets);
     assert_eq!(cell.server.get_hits, cell.server.gets);
-}
-
-#[test]
-fn seg_engine_run_reconciles_counts_exactly() {
-    // The segment engine must serve the full op surface through the
-    // real client → worker path with nothing lost or double-counted.
-    let cfg = LoadgenConfig {
-        engine: EngineKind::Seg,
-        ..smoke_cfg()
-    };
-    let cell = run_cell(&cfg);
-    assert_eq!(cell.engine, "seg");
-    assert_eq!(cell.client.failures, 0, "no op may fail: {cell:?}");
-    assert_eq!(cell.server.gets, cell.client.gets);
-    assert_eq!(cell.server.sets, cell.client.sets);
-    assert!(cell.counts_reconciled);
-    assert_eq!(cell.client.hits, cell.client.gets, "pre-loaded, no TTLs");
 }
 
 #[test]

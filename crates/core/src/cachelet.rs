@@ -2,10 +2,10 @@
 //!
 //! A cachelet is a configurable resource container that encapsulates
 //! multiple virtual nodes and is managed as a separate entity by a single
-//! worker thread. It bundles a storage [`Engine`] (the slab+LRU table or
-//! the segment-structured engine), access statistics, an EWMA load
-//! estimate, and migration/lease state. Because exactly one worker owns a
-//! cachelet at any time, none of its operations synchronize.
+//! worker thread. It bundles a storage [`Engine`] (the slab+LRU table),
+//! access statistics, an EWMA load estimate, and migration/lease state.
+//! Because exactly one worker owns a cachelet at any time, none of its
+//! operations synchronize.
 
 use crate::engine::{slab_lru::SlabLru, Engine, EngineStats};
 use crate::stats::{AccessStats, CacheletLoad, Ewma};
@@ -257,7 +257,6 @@ impl Cachelet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::seg::SegEngine;
 
     fn fixture() -> Cachelet {
         Cachelet::new(CacheletId(3))
@@ -317,8 +316,8 @@ mod tests {
     }
 
     #[test]
-    fn seg_backed_cachelet_serves_the_same_surface() {
-        let mut c = Cachelet::with_engine(CacheletId(9), Box::new(SegEngine::new(1 << 20)));
+    fn touch_extends_life_and_delete_empties() {
+        let mut c = fixture();
         c.set(b"k", b"v", 0, 1_000).expect("set");
         assert_eq!(c.get(b"k", 500).expect("hit").as_ref(), b"v");
         assert!(c.touch(b"k", 500, 2_000));

@@ -1,83 +1,41 @@
-//! Pluggable storage engines.
+//! The storage engine.
 //!
 //! A storage engine owns everything between the cachelet's op surface and
 //! raw memory: indexing, eviction policy, TTL expiry, and byte accounting.
 //! [`crate::store::ValueStore`] stays underneath as the *allocator*
-//! abstraction (the Figure-8 ablation); [`Engine`] sits above it and is
-//! the unit the server selects per worker (`--engine slab|seg`).
+//! abstraction (the Figure-8 ablation); [`Engine`] sits above it.
 //!
-//! Two engines ship today:
-//!
-//! - [`slab_lru`] — the paper's design: the single-writer
-//!   [`crate::table::HashTable`] (open chaining + intrusive LRU) over a
-//!   [`crate::store::ValueStore`].
-//! - [`seg`] — a Segcache-style segment-structured engine: TTL-bucketed
-//!   append-only segments with proactive whole-segment expiry and
-//!   merge-based eviction.
+//! One engine ships: [`slab_lru`], the paper's design — the
+//! single-writer [`crate::table::HashTable`] (open chaining + intrusive
+//! LRU) over a [`crate::store::ValueStore`]. The trait stays because
+//! `mbal-tenant`'s `TenantEngine` multiplexes per-tenant inner engines
+//! behind it.
 //!
 //! ## Observable semantics contract
 //!
-//! Engines may differ in *when* they physically reclaim an expired
-//! object (per-entry lazily vs whole segments at once), so every
-//! observable result is defined over **live** state only: an expired
+//! Every observable result is defined over **live** state only: an entry
+//! is live iff its expiry is 0 or still in the future, and an expired
 //! entry behaves exactly like an absent one for `get`, `contains`,
-//! `touch`, `delete`, `add`, `replace`, and for the
-//! `Inserted`/`Updated` outcome of `set`. The differential proptest in
-//! `tests/engine_differential.rs` holds both engines to this contract.
+//! `touch`, `delete`, `add`, `replace`, and for the `Inserted`/`Updated`
+//! outcome of `set`. `incr` and `concat` keep the entry's expiry. The
+//! model proptest in `tests/engine_differential.rs` holds the slab
+//! engine to this contract against a `HashMap` oracle.
 
-pub mod seg;
 pub mod slab_lru;
 
-pub use seg::SegEngine;
 pub use slab_lru::SlabLru;
 
 use crate::table::SetOutcome;
 use crate::types::{CacheError, TenantId, Value};
 use std::fmt;
 
-/// Which storage engine a worker runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Which storage engine a worker runs. Slab+LRU is the only one; the
+/// type remains so the repository benchmark (`perfbench`), which names
+/// it when it builds its server configuration, keeps compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// Slab allocator + hash table + LRU (the paper's design).
-    #[default]
     SlabLru,
-    /// Segment-structured, Segcache-style.
-    Seg,
-}
-
-impl EngineKind {
-    /// Stable CLI/report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::SlabLru => "slab",
-            EngineKind::Seg => "seg",
-        }
-    }
-
-    /// Parses a CLI label (`slab` or `seg`, with a few aliases).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "slab" | "slab_lru" | "slab-lru" | "lru" => Some(EngineKind::SlabLru),
-            "seg" | "segcache" | "segment" => Some(EngineKind::Seg),
-            _ => None,
-        }
-    }
-
-    /// Engine selected by the `MBAL_ENGINE` environment variable, or the
-    /// default ([`EngineKind::SlabLru`]) when unset/unrecognized. CI uses
-    /// this to run the whole test suite under each engine.
-    pub fn from_env() -> Self {
-        std::env::var("MBAL_ENGINE")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or_default()
-    }
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// Cumulative engine statistics. Counters are monotone over the life of
@@ -98,11 +56,6 @@ pub struct EngineStats {
     pub evicted_bytes: u64,
     /// Value bytes released by expiry.
     pub expired_bytes: u64,
-    /// Whole segments reclaimed by proactive TTL-bucket expiry
-    /// (seg engine only).
-    pub segments_expired: u64,
-    /// Merge-based eviction passes (seg engine only).
-    pub seg_merges: u64,
 }
 
 impl EngineStats {
@@ -117,8 +70,6 @@ impl EngineStats {
             expirations: self.expirations.saturating_sub(base.expirations),
             evicted_bytes: self.evicted_bytes.saturating_sub(base.evicted_bytes),
             expired_bytes: self.expired_bytes.saturating_sub(base.expired_bytes),
-            segments_expired: self.segments_expired.saturating_sub(base.segments_expired),
-            seg_merges: self.seg_merges.saturating_sub(base.seg_merges),
         }
     }
 }
@@ -346,37 +297,18 @@ pub trait Engine: Send + fmt::Debug {
     fn drain_partition(&mut self, p: usize) -> Vec<(Box<[u8]>, Vec<u8>, u64)>;
 }
 
-/// Builds a boxed engine of the given kind.
-///
-/// `capacity_bytes` is the engine's byte budget. The slab engine ignores
-/// it here (its budget is enforced by the [`crate::store::ValueStore`]
-/// it is built over — pass the store explicitly via
-/// [`SlabLru::new`] for that); this helper builds the slab engine over
-/// an unbounded heap store and is what tests and single-process tools
-/// use. Servers construct engines through `CacheUnit` so the slab
-/// variant draws from the shared global pool.
-pub fn build_engine(kind: EngineKind, capacity_bytes: usize) -> Box<dyn Engine> {
-    match kind {
-        EngineKind::SlabLru => {
-            Box::new(SlabLru::new(crate::store::MallocStore::new(capacity_bytes)))
-        }
-        EngineKind::Seg => Box::new(SegEngine::new(capacity_bytes)),
-    }
+/// Builds a boxed slab+LRU engine over a [`crate::store::MallocStore`]
+/// holding at most `capacity_bytes` of values: the engine evicts from
+/// its LRU tail once the store refuses an allocation. Tenant
+/// multiplexers build their per-tenant engines with it; servers build a
+/// unit's own engine over a pool-backed slab store instead (`CacheUnit`).
+pub fn build_engine(capacity_bytes: usize) -> Box<dyn Engine> {
+    Box::new(SlabLru::new(crate::store::MallocStore::new(capacity_bytes)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_labels_roundtrip() {
-        for k in [EngineKind::SlabLru, EngineKind::Seg] {
-            assert_eq!(EngineKind::parse(k.label()), Some(k));
-        }
-        assert_eq!(EngineKind::parse("segcache"), Some(EngineKind::Seg));
-        assert_eq!(EngineKind::parse("bogus"), None);
-        assert_eq!(EngineKind::default(), EngineKind::SlabLru);
-    }
 
     #[test]
     fn stats_counter_delta_saturates() {
@@ -397,12 +329,10 @@ mod tests {
     }
 
     #[test]
-    fn build_engine_produces_both_kinds() {
-        for kind in [EngineKind::SlabLru, EngineKind::Seg] {
-            let mut e = build_engine(kind, 1 << 20);
-            e.set(b"k", b"v", 0, 0).expect("set");
-            assert_eq!(e.get(b"k", 0).expect("hit").as_ref(), b"v");
-            assert_eq!(e.len(), 1);
-        }
+    fn build_engine_serves_a_roundtrip() {
+        let mut e = build_engine(1 << 20);
+        e.set(b"k", b"v", 0, 0).expect("set");
+        assert_eq!(e.get(b"k", 0).expect("hit").as_ref(), b"v");
+        assert_eq!(e.len(), 1);
     }
 }

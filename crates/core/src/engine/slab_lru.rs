@@ -141,8 +141,6 @@ impl<S: ValueStore + Send + fmt::Debug> Engine for SlabLru<S> {
             expirations: t.expirations,
             evicted_bytes: t.evicted_bytes,
             expired_bytes: t.expired_bytes,
-            segments_expired: 0,
-            seg_merges: 0,
         }
     }
 

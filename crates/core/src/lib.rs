@@ -22,11 +22,8 @@
 //!   by Figure 8 of the paper.
 //! - [`table`] — the single-writer open-chaining hash table with an
 //!   intrusive LRU list threaded through its entry slab.
-//! - [`engine`] — pluggable storage engines behind the [`engine::Engine`]
-//!   trait: the slab+LRU table as [`engine::slab_lru`], plus a
-//!   Segcache-style segment-structured engine ([`engine::seg`]) with
-//!   TTL-bucketed segments, whole-segment expiry, and merge-based
-//!   eviction.
+//! - [`engine`] — the storage engine behind the [`engine::Engine`]
+//!   trait: the slab+LRU table as [`engine::slab_lru`].
 //! - [`cachelet`] — the cachelet abstraction: storage engine + statistics +
 //!   memory accounting + lease state.
 //! - [`stats`] — epoch-based access statistics and EWMA load tracking
@@ -55,6 +52,6 @@ pub mod types;
 
 pub use cachelet::Cachelet;
 pub use clock::{Clock, ManualClock, RealClock};
-pub use engine::{Engine, EngineKind, EngineStats};
+pub use engine::{Engine, EngineStats};
 pub use stats::AccessStats;
 pub use types::{CacheError, CacheletId, Key, ServerId, TenantId, Value, VnId, WorkerId};

@@ -1,18 +1,24 @@
-//! Differential property test: the slab+LRU and segment engines are
-//! driven with the same operation sequence and must exhibit identical
-//! *observable* semantics — get/contains/touch/delete results, set
-//! outcomes, and read-modify-write arithmetic — as long as neither
-//! engine is forced to evict (capacities here are effectively
-//! unbounded, so the only way entries vanish is expiry, which the
-//! engine contract pins to exact per-millisecond boundaries).
+//! Model property test: the slab+LRU engine is driven with a random
+//! operation sequence and checked, op by op, against a `HashMap` oracle
+//! of the engine contract (`engine/mod.rs`, "Observable semantics
+//! contract"):
 //!
-//! Physical reclamation timing is explicitly *not* compared: the seg
-//! engine frees whole segments proactively while the slab table
-//! reclaims lazily, and `maintain` runs at arbitrary points in the
-//! sequence to prove that difference never leaks into results.
+//! - an entry is live iff its expiry is 0 or `now < expiry`; an expired
+//!   entry behaves exactly like an absent one;
+//! - `set` reports `Inserted` when the key is absent or expired,
+//!   `Updated` otherwise;
+//! - `incr` and `concat` keep the entry's expiry.
+//!
+//! Capacities here are effectively unbounded, so the only way entries
+//! vanish is expiry, which the contract pins to exact per-millisecond
+//! boundaries. `maintain` runs at arbitrary points in the sequence to
+//! prove that physical reclamation never leaks into results.
 
-use mbal_core::engine::{build_engine, Engine, EngineKind};
+use mbal_core::engine::{Engine, SlabLru};
+use mbal_core::store::MallocStore;
+use mbal_core::table::SetOutcome;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum DiffOp {
@@ -31,7 +37,7 @@ enum DiffOp {
     Replace(u16, u8),
     /// Advance the clock.
     Advance(u16),
-    /// Run background maintenance on both engines.
+    /// Run background maintenance on the engine.
     Maintain,
 }
 
@@ -61,17 +67,51 @@ fn op_strategy() -> impl Strategy<Value = DiffOp> {
     ]
 }
 
+/// The engine contract over a plain map of `key → (value, expiry_ms)`.
+#[derive(Default)]
+struct Model {
+    entries: HashMap<Vec<u8>, (Vec<u8>, u64)>,
+}
+
+impl Model {
+    /// The live entry for `key`; an expired one is dropped first.
+    fn live(&mut self, key: &[u8], now: u64) -> Option<&mut (Vec<u8>, u64)> {
+        let expired = matches!(self.entries.get(key), Some(&(_, exp)) if exp != 0 && now >= exp);
+        if expired {
+            self.entries.remove(key);
+        }
+        self.entries.get_mut(key)
+    }
+
+    fn set(&mut self, key: &[u8], value: &[u8], now: u64, expiry: u64) -> SetOutcome {
+        let outcome = if self.live(key, now).is_some() {
+            SetOutcome::Updated
+        } else {
+            SetOutcome::Inserted
+        };
+        self.entries.insert(key.to_vec(), (value.to_vec(), expiry));
+        outcome
+    }
+
+    fn live_count(&self, now: u64) -> usize {
+        self.entries
+            .values()
+            .filter(|&&(_, exp)| exp == 0 || now < exp)
+            .count()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn engines_agree_observably(ops in prop::collection::vec(op_strategy(), 1..300)) {
-        // Budgets far beyond what the sequence can write: eviction never
-        // fires, so every observable divergence is a genuine bug.
-        let mut engines: Vec<Box<dyn Engine>> = vec![
-            build_engine(EngineKind::SlabLru, 1 << 40),
-            build_engine(EngineKind::Seg, 1 << 40),
-        ];
+    fn slab_engine_matches_the_contract_model(
+        ops in prop::collection::vec(op_strategy(), 1..300)
+    ) {
+        // A budget far beyond what the sequence can write: eviction never
+        // fires, so every divergence from the model is a genuine bug.
+        let mut engine = SlabLru::new(MallocStore::new(1 << 40));
+        let mut model = Model::default();
         let mut now: u64 = 1;
 
         for op in &ops {
@@ -80,101 +120,102 @@ proptest! {
                     let key = key_bytes(k);
                     let value = value_bytes(k, len);
                     let expiry = if ttl == 0 { 0 } else { now + ttl as u64 };
-                    let results: Vec<_> = engines
-                        .iter_mut()
-                        .map(|e| e.set(&key, &value, now, expiry))
-                        .collect();
-                    prop_assert_eq!(&results[0], &results[1], "set({}) at t={}", k, now);
+                    let got = engine.set(&key, &value, now, expiry);
+                    let want = model.set(&key, &value, now, expiry);
+                    prop_assert_eq!(got, Ok(want), "set({}) at t={}", k, now);
                 }
                 DiffOp::Get(k) => {
                     let key = key_bytes(k);
-                    let results: Vec<_> = engines
-                        .iter_mut()
-                        .map(|e| e.get(&key, now).map(Vec::from))
-                        .collect();
-                    prop_assert_eq!(&results[0], &results[1], "get({}) at t={}", k, now);
+                    let got = engine.get(&key, now).map(Vec::from);
+                    let want = model.live(&key, now).map(|(v, _)| v.clone());
+                    prop_assert_eq!(got, want, "get({}) at t={}", k, now);
                 }
                 DiffOp::Delete(k) => {
                     let key = key_bytes(k);
-                    let results: Vec<_> =
-                        engines.iter_mut().map(|e| e.delete(&key, now)).collect();
-                    prop_assert_eq!(results[0], results[1], "delete({}) at t={}", k, now);
+                    let want = model.live(&key, now).is_some();
+                    model.entries.remove(&key);
+                    prop_assert_eq!(engine.delete(&key, now), want, "delete({}) at t={}", k, now);
                 }
                 DiffOp::Contains(k) => {
                     let key = key_bytes(k);
-                    let results: Vec<_> =
-                        engines.iter_mut().map(|e| e.contains(&key, now)).collect();
-                    prop_assert_eq!(results[0], results[1], "contains({}) at t={}", k, now);
+                    let want = model.live(&key, now).is_some();
+                    prop_assert_eq!(engine.contains(&key, now), want, "contains({}) at t={}", k, now);
                 }
                 DiffOp::Touch(k, ttl) => {
                     let key = key_bytes(k);
                     let expiry = if ttl == 0 { 0 } else { now + ttl as u64 };
-                    let results: Vec<_> = engines
-                        .iter_mut()
-                        .map(|e| e.touch(&key, now, expiry))
-                        .collect();
-                    prop_assert_eq!(results[0], results[1], "touch({}) at t={}", k, now);
+                    let want = match model.live(&key, now) {
+                        Some(entry) => {
+                            entry.1 = expiry;
+                            true
+                        }
+                        None => false,
+                    };
+                    prop_assert_eq!(engine.touch(&key, now, expiry), want, "touch({}) at t={}", k, now);
                 }
                 DiffOp::Incr(k, delta) => {
                     let key = key_bytes(k);
-                    for e in engines.iter_mut() {
-                        e.set(&key, b"100", now, 0).expect("seed counter");
-                    }
-                    let results: Vec<_> =
-                        engines.iter_mut().map(|e| e.incr(&key, delta, now)).collect();
-                    prop_assert_eq!(&results[0], &results[1], "incr({}) at t={}", k, now);
+                    // Odd keys seed a counter with a TTL, so the kept
+                    // expiry is observable by later reads.
+                    let expiry = if k & 1 == 0 { 0 } else { now + 200 };
+                    engine.set(&key, b"100", now, expiry).expect("seed counter");
+                    model.set(&key, b"100", now, expiry);
+                    let want = if delta >= 0 {
+                        100 + delta as u64
+                    } else {
+                        100u64.saturating_sub(delta.unsigned_abs())
+                    };
+                    model.entries.insert(key.clone(), (want.to_string().into_bytes(), expiry));
+                    prop_assert_eq!(engine.incr(&key, delta, now), Ok(Some(want)), "incr({}) at t={}", k, now);
                 }
                 DiffOp::Concat(k, len) => {
                     let key = key_bytes(k);
                     let suffix = value_bytes(k.wrapping_add(1), len % 16);
-                    let results: Vec<_> = engines
-                        .iter_mut()
-                        .map(|e| e.concat(&key, &suffix, (k & 1) == 0, now))
-                        .collect();
-                    prop_assert_eq!(&results[0], &results[1], "concat({}) at t={}", k, now);
+                    let front = (k & 1) == 0;
+                    let want = model.live(&key, now).map(|(v, _)| {
+                        if front {
+                            v.splice(0..0, suffix.iter().copied());
+                        } else {
+                            v.extend_from_slice(&suffix);
+                        }
+                        v.len()
+                    });
+                    prop_assert_eq!(engine.concat(&key, &suffix, front, now), Ok(want), "concat({}) at t={}", k, now);
                 }
                 DiffOp::Add(k, len) => {
                     let key = key_bytes(k);
                     let value = value_bytes(k, len);
-                    let results: Vec<_> = engines
-                        .iter_mut()
-                        .map(|e| e.add(&key, &value, now, 0))
-                        .collect();
-                    prop_assert_eq!(&results[0], &results[1], "add({}) at t={}", k, now);
+                    let want = model.live(&key, now).is_none();
+                    if want {
+                        model.set(&key, &value, now, 0);
+                    }
+                    prop_assert_eq!(engine.add(&key, &value, now, 0), Ok(want), "add({}) at t={}", k, now);
                 }
                 DiffOp::Replace(k, len) => {
                     let key = key_bytes(k);
                     let value = value_bytes(k, len.wrapping_add(1));
-                    let results: Vec<_> = engines
-                        .iter_mut()
-                        .map(|e| e.replace(&key, &value, now, 0))
-                        .collect();
-                    prop_assert_eq!(&results[0], &results[1], "replace({}) at t={}", k, now);
+                    let want = model.live(&key, now).is_some();
+                    if want {
+                        model.set(&key, &value, now, 0);
+                    }
+                    prop_assert_eq!(engine.replace(&key, &value, now, 0), Ok(want), "replace({}) at t={}", k, now);
                 }
                 DiffOp::Advance(ms) => {
                     now += ms as u64;
                 }
-                DiffOp::Maintain => {
-                    for e in engines.iter_mut() {
-                        e.maintain(now);
-                    }
-                }
+                DiffOp::Maintain => engine.maintain(now),
             }
         }
 
-        // Final sweep: every key of the keyspace reads identically, and
-        // both engines agree on the live-entry count once maintenance
-        // has reclaimed everything expired.
-        for e in engines.iter_mut() {
-            e.maintain(now);
-        }
+        // Final sweep: every key of the keyspace reads as the model
+        // says, and once those reads have reclaimed every expired entry
+        // the engine holds exactly the model's live entries.
+        engine.maintain(now);
         for k in 0..KEYSPACE {
             let key = key_bytes(k);
-            let results: Vec<_> = engines
-                .iter_mut()
-                .map(|e| e.get(&key, now).map(Vec::from))
-                .collect();
-            prop_assert_eq!(&results[0], &results[1], "final get({})", k);
+            let want = model.live(&key, now).map(|(v, _)| v.clone());
+            prop_assert_eq!(engine.get(&key, now).map(Vec::from), want, "final get({})", k);
         }
+        prop_assert_eq!(engine.len(), model.live_count(now), "live entries");
     }
 }

@@ -8,14 +8,13 @@
 //!
 //! ```text
 //! mbal-server [--workers N] [--port BASE] [--mem MB] [--cachelets N] [--epoch-ms MS]
-//!             [--engine slab|seg] [--metrics-port P] [--tenants SPEC] [--load-cap C]
+//!             [--metrics-port P] [--tenants SPEC] [--load-cap C]
 //!             [--max-conns N] [--idle-timeout-ms MS] [--membership on|off]
 //! ```
 //!
-//! `--engine` selects the storage engine every worker runs: `slab`
-//! (slab allocator + LRU, the default) or `seg` (segment-structured,
-//! Segcache-style). Defaults to the `MBAL_ENGINE` environment variable
-//! when the flag is absent.
+//! An unknown flag, a flag without a value, or a value that does not
+//! parse (`--port 70000`, `--workers abc`) prints a usage error and
+//! exits with status 2 before anything binds.
 //!
 //! `--metrics-port` (0 = disabled, the default) additionally serves the
 //! per-worker counters and latency histograms in Prometheus text format
@@ -51,61 +50,92 @@
 use mbal_balancer::coordinator::Coordinator;
 use mbal_balancer::BalancerConfig;
 use mbal_core::clock::RealClock;
-use mbal_core::engine::EngineKind;
 use mbal_core::types::{ServerId, WorkerAddr};
 use mbal_ring::{ConsistentRing, MappingTable};
 use mbal_server::tcp::serve_tcp_with;
 use mbal_server::{InProcRegistry, Server, ServerConfig};
 use mbal_tenant::TenantDirectory;
+use std::collections::HashMap;
 use std::sync::Arc;
 
-fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+const USAGE: &str = "usage: mbal-server [--workers N] [--port BASE] [--mem MB] [--cachelets N] \
+[--epoch-ms MS] [--metrics-port P] [--tenants SPEC] [--load-cap C] [--max-conns N] \
+[--idle-timeout-ms MS] [--membership on|off]";
+
+/// Every flag the server accepts; each takes one value.
+const FLAGS: [&str; 11] = [
+    "--workers",
+    "--port",
+    "--mem",
+    "--cachelets",
+    "--epoch-ms",
+    "--metrics-port",
+    "--tenants",
+    "--load-cap",
+    "--max-conns",
+    "--idle-timeout-ms",
+    "--membership",
+];
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("mbal-server: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Reads `--flag value` pairs, refusing an unknown flag or a flag
+/// without a value.
+fn parse_flags() -> HashMap<String, String> {
+    let mut flags = HashMap::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(name) = args.next() {
+        if !FLAGS.contains(&name.as_str()) {
+            usage_error(&format!("unknown flag {name:?}"));
+        }
+        let Some(value) = args.next() else {
+            usage_error(&format!("{name} needs a value"));
+        };
+        flags.insert(name, value);
+    }
+    flags
+}
+
+/// The value of flag `name`, or `default` when it is absent; a value
+/// that does not parse is a usage error.
+fn arg<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> T {
+    match flags.get(name) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("bad {name} value {v:?}"))),
+    }
 }
 
 fn main() {
-    let workers: u16 = arg("--workers", 4);
-    let port: u16 = arg("--port", 11311);
-    let mem_mb: usize = arg("--mem", 512);
-    let cachelets: usize = arg("--cachelets", 16);
-    let epoch_ms: u64 = arg("--epoch-ms", 1_000);
-    let metrics_port: u16 = arg("--metrics-port", 0);
-    let load_cap: f64 = arg("--load-cap", 0.0);
+    let flags = parse_flags();
+    let workers: u16 = arg(&flags, "--workers", 4);
+    let port: u16 = arg(&flags, "--port", 11311);
+    let mem_mb: usize = arg(&flags, "--mem", 512);
+    let cachelets: usize = arg(&flags, "--cachelets", 16);
+    let epoch_ms: u64 = arg(&flags, "--epoch-ms", 1_000);
+    let metrics_port: u16 = arg(&flags, "--metrics-port", 0);
+    let load_cap: f64 = arg(&flags, "--load-cap", 0.0);
     if load_cap != 0.0 && load_cap <= 1.0 {
-        eprintln!("mbal-server: --load-cap must be > 1 (got {load_cap})");
-        std::process::exit(2);
+        usage_error(&format!("--load-cap must be > 1 (got {load_cap})"));
     }
-    let tenants = match arg::<String>("--tenants", String::new()).as_str() {
+    let tenants = match arg::<String>(&flags, "--tenants", String::new()).as_str() {
         "" => TenantDirectory::new(),
-        spec => TenantDirectory::parse(spec).unwrap_or_else(|e| {
-            eprintln!("mbal-server: bad --tenants spec: {e}");
-            std::process::exit(2);
-        }),
-    };
-    let engine = match arg::<String>("--engine", String::new()).as_str() {
-        "" => EngineKind::from_env(),
-        s => EngineKind::parse(s).unwrap_or_else(|| {
-            eprintln!("mbal-server: unknown engine {s:?} (expected slab|seg)");
-            std::process::exit(2);
-        }),
+        spec => TenantDirectory::parse(spec)
+            .unwrap_or_else(|e| usage_error(&format!("bad --tenants spec: {e}"))),
     };
 
     // I/O flags layer over the MBAL_* environment defaults (already
     // folded into the builder's starting config).
-    let max_conns: usize = arg("--max-conns", 0);
-    let idle_timeout_ms: i64 = arg("--idle-timeout-ms", -1);
-    let membership = match arg::<String>("--membership", "off".into()).as_str() {
+    let max_conns: usize = arg(&flags, "--max-conns", 0);
+    let idle_timeout_ms: i64 = arg(&flags, "--idle-timeout-ms", -1);
+    let membership = match arg::<String>(&flags, "--membership", "off".into()).as_str() {
         "on" => true,
         "off" => false,
-        s => {
-            eprintln!("mbal-server: bad --membership {s:?} (expected on|off)");
-            std::process::exit(2);
-        }
+        s => usage_error(&format!("bad --membership {s:?} (expected on|off)")),
     };
 
     let mut ring = ConsistentRing::new();
@@ -126,7 +156,6 @@ fn main() {
         .cache_bytes(mem_mb << 20)
         .cachelets_per_worker(cachelets)
         .balancer(balancer)
-        .engine(engine)
         .tenants(tenants.clone())
         .membership(membership);
     if metrics_port != 0 {
@@ -158,10 +187,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    println!(
-        "mbal-server: {workers} workers, {mem_mb} MiB, {cachelets} cachelets/worker, {} engine",
-        engine.label()
-    );
+    println!("mbal-server: {workers} workers, {mem_mb} MiB, {cachelets} cachelets/worker");
     if tenants.len() > 1 {
         println!("  multi-tenant: {} tenants admitted", tenants.len() - 1);
     }

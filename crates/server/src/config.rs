@@ -85,11 +85,6 @@ pub struct ServerConfig {
     /// single-server deployments (and tests that drive ticks with large
     /// manual clock jumps) never engage the failure detector.
     pub membership: bool,
-    /// Storage engine backing every cachelet on this server
-    /// (`--engine slab|seg`). Defaults to the `MBAL_ENGINE`
-    /// environment variable, falling back to slab+LRU, so CI can run
-    /// the whole suite under either engine without touching call sites.
-    pub engine: EngineKind,
     /// Admitted tenants and their per-unit memory quotas. The default
     /// directory holds only tenant 0, which disables multi-tenancy:
     /// keys stay un-namespaced and requests naming any other tenant are
@@ -121,7 +116,6 @@ impl ServerConfig {
             worker_load_capacity: 1_000_000.0,
             sync_replication: true,
             membership: false,
-            engine: EngineKind::from_env(),
             tenants: TenantDirectory::new(),
             io: IoConfig::from_env(),
             metrics_port: env_u64("MBAL_METRICS_PORT").map(|p| p as u16),
@@ -139,9 +133,10 @@ impl ServerConfig {
         }
     }
 
-    /// Overrides the storage engine and returns `self`.
-    pub fn engine(mut self, kind: EngineKind) -> Self {
-        self.engine = kind;
+    /// Returns `self` unchanged: slab+LRU is the only storage engine.
+    /// Kept only because the repository benchmark (`perfbench`) still
+    /// calls it; it goes once that caller drops the call.
+    pub fn engine(self, _kind: EngineKind) -> Self {
         self
     }
 
@@ -185,18 +180,10 @@ impl ServerConfig {
     pub fn worker_mem_capacity(&self) -> u64 {
         (self.mem.capacity / self.workers.max(1) as usize) as u64
     }
-
-    /// Per-cachelet byte budget: the memory budget split evenly across
-    /// every unit. Sizes each seg engine's private arena (the slab
-    /// engine shares the global pool instead).
-    pub fn unit_mem_budget(&self) -> usize {
-        let units = (self.workers.max(1) as usize) * self.cachelets_per_worker.max(1);
-        (self.mem.capacity / units).max(1)
-    }
 }
 
 /// Fluent constructor for [`ServerConfig`] unifying every server knob —
-/// sizing, engine, tenancy, balancing, telemetry, and transport I/O —
+/// sizing, tenancy, balancing, telemetry, and transport I/O —
 /// behind one surface (see [`ServerConfig::builder`]).
 #[derive(Debug, Clone)]
 pub struct ServerConfigBuilder {
@@ -219,12 +206,6 @@ impl ServerConfigBuilder {
     /// Sets cachelets per worker (clamped to at least one).
     pub fn cachelets_per_worker(mut self, n: usize) -> Self {
         self.cfg.cachelets_per_worker = n.max(1);
-        self
-    }
-
-    /// Sets the storage engine.
-    pub fn engine(mut self, kind: EngineKind) -> Self {
-        self.cfg.engine = kind;
         self
     }
 
@@ -312,8 +293,6 @@ mod tests {
         assert_eq!(c.cachelets_per_worker, 1, "clamped to one");
         assert_eq!(c.worker_load_capacity, 500.0);
         assert!(c.membership);
-        let c = c.engine(EngineKind::Seg);
-        assert_eq!(c.engine, EngineKind::Seg);
     }
 
     #[test]
@@ -329,18 +308,11 @@ mod tests {
     }
 
     #[test]
-    fn unit_budget_splits_capacity() {
-        let c = ServerConfig::new(ServerId(0), 4, 64 << 20).cachelets_per_worker(8);
-        assert_eq!(c.unit_mem_budget(), (64 << 20) / 32);
-    }
-
-    #[test]
     fn builder_unifies_every_knob() {
         let c = ServerConfig::builder(ServerId(7))
             .workers(4)
             .cache_bytes(32 << 20)
             .cachelets_per_worker(8)
-            .engine(EngineKind::Seg)
             .load_cap(250_000.0)
             .membership(true)
             .sync_replication(false)
@@ -353,7 +325,6 @@ mod tests {
         assert_eq!(c.workers, 4);
         assert_eq!(c.mem.capacity, 32 << 20);
         assert_eq!(c.cachelets_per_worker, 8);
-        assert_eq!(c.engine, EngineKind::Seg);
         assert_eq!(c.worker_load_capacity, 250_000.0);
         assert!(c.membership);
         assert!(!c.sync_replication);

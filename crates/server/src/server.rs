@@ -118,8 +118,6 @@ impl Server {
             };
             let factory_pool = Arc::clone(&global);
             let factory_mem = cfg.mem.clone();
-            let factory_engine = cfg.engine;
-            let factory_budget = cfg.unit_mem_budget();
             let factory_tenants = cfg.tenants.clone();
             let ctx = WorkerContext {
                 addr,
@@ -132,12 +130,10 @@ impl Server {
                 metrics: metrics.shard(w as usize),
                 unit_factory: Box::new(move |id| {
                     CacheUnit::with_tenancy(
-                        factory_engine,
                         id,
                         Arc::clone(&factory_pool),
                         &factory_mem,
                         numa,
-                        factory_budget,
                         &factory_tenants,
                     )
                 }),
@@ -184,12 +180,10 @@ impl Server {
             };
             for c in mapping.cachelets_of_worker(addr) {
                 let unit = Box::new(CacheUnit::with_tenancy(
-                    self.cfg.engine,
                     c,
                     Arc::clone(global),
                     &self.cfg.mem,
                     numa,
-                    self.cfg.unit_mem_budget(),
                     &self.cfg.tenants,
                 ));
                 self.worker(WorkerId(w)).ask(|wk| wk.adopt(unit, None));

@@ -2,14 +2,14 @@
 //!
 //! MBal describes a cachelet as "a configurable resource container"
 //! (§2.1) — it owns not just its keys but the memory they live in. We
-//! realize that literally: the unit carries its [`Engine`] (for the
-//! slab engine, a [`SlabStore`] refilled from the server-wide global
-//! pool; for the seg engine, its own segment arena), so handing a unit
-//! to another worker thread moves the data with it at pointer cost.
+//! realize that literally: the unit carries its [`Engine`] (a slab+LRU
+//! engine over a [`SlabStore`] refilled from the server-wide global
+//! pool), so handing a unit to another worker thread moves the data
+//! with it at pointer cost.
 
 use mbal_core::cachelet::Cachelet;
 use mbal_core::engine::TenantUsage;
-use mbal_core::engine::{build_engine, Engine, EngineKind, EngineStats, SegEngine, SlabLru};
+use mbal_core::engine::{build_engine, Engine, EngineStats, SlabLru};
 use mbal_core::mem::{GlobalPool, LocalPool, MemConfig, MemPolicy};
 use mbal_core::stats::CacheletLoad;
 use mbal_core::store::SlabStore;
@@ -47,42 +47,17 @@ pub struct CacheUnit {
     stats_base: EngineStats,
 }
 
-impl CacheUnit {
-    /// Creates an empty unit with the engine named by `MBAL_ENGINE`
-    /// (default slab+LRU), drawing memory from `global`. A seg unit gets
-    /// the whole `mem.capacity` as its budget; servers that run many
-    /// units size each one explicitly via
-    /// [`CacheUnit::with_engine_kind`].
-    pub fn new(id: CacheletId, global: Arc<GlobalPool>, mem: &MemConfig, numa: u8) -> Self {
-        Self::with_engine_kind(EngineKind::from_env(), id, global, mem, numa, mem.capacity)
-    }
+/// The slab+LRU engine over a [`SlabStore`] that allocates through a
+/// [`LocalPool`] over `global`, so the shared pool governs its budget.
+fn pool_engine(global: Arc<GlobalPool>, mem: &MemConfig, numa: u8) -> Box<dyn Engine> {
+    let pool = LocalPool::new(global, mem, numa, MemPolicy::ThreadLocal);
+    Box::new(SlabLru::new(SlabStore::new(pool)))
+}
 
-    /// Creates an empty unit over the given engine kind.
-    ///
-    /// The slab engine allocates through a [`LocalPool`] over `global`,
-    /// so its effective budget is governed by the shared pool;
-    /// `seg_budget_bytes` only sizes the seg engine's private arena.
-    pub fn with_engine_kind(
-        kind: EngineKind,
-        id: CacheletId,
-        global: Arc<GlobalPool>,
-        mem: &MemConfig,
-        numa: u8,
-        seg_budget_bytes: usize,
-    ) -> Self {
-        let engine: Box<dyn Engine> = match kind {
-            EngineKind::SlabLru => {
-                let pool = LocalPool::new(global, mem, numa, MemPolicy::ThreadLocal);
-                Box::new(SlabLru::new(SlabStore::new(pool)))
-            }
-            EngineKind::Seg => Box::new(SegEngine::new(seg_budget_bytes)),
-        };
-        Self {
-            meta: Cachelet::with_engine(id, engine),
-            migration: None,
-            transferred: HashSet::new(),
-            stats_base: EngineStats::default(),
-        }
+impl CacheUnit {
+    /// Creates an empty unit whose engine draws memory from `global`.
+    pub fn new(id: CacheletId, global: Arc<GlobalPool>, mem: &MemConfig, numa: u8) -> Self {
+        Self::with_engine(id, pool_engine(global, mem, numa))
     }
 
     /// Creates an empty unit with multi-tenancy: the engine is a
@@ -91,41 +66,35 @@ impl CacheUnit {
     /// structurally confined to the offending tenant's own budget.
     ///
     /// The default tenant's inner engine is built exactly as in
-    /// [`CacheUnit::with_engine_kind`] (pool-backed slab store or
-    /// `seg_budget_bytes`-sized segment arena); every other tenant gets
-    /// a private engine sized by its quota's initial budget and resized
-    /// by arbitration. With no tenants beyond the default configured
-    /// this degrades to a plain single-engine unit — keys are only
-    /// namespaced when tenancy is on.
+    /// [`CacheUnit::new`] (pool-backed slab store); every other tenant
+    /// gets a private engine sized by its quota's initial budget and
+    /// resized by arbitration. With no tenants beyond the default
+    /// configured this degrades to a plain single-engine unit — keys
+    /// are only namespaced when tenancy is on.
     pub fn with_tenancy(
-        kind: EngineKind,
         id: CacheletId,
         global: Arc<GlobalPool>,
         mem: &MemConfig,
         numa: u8,
-        seg_budget_bytes: usize,
         tenants: &TenantDirectory,
     ) -> Self {
         if tenants.len() <= 1 {
-            return Self::with_engine_kind(kind, id, global, mem, numa, seg_budget_bytes);
+            return Self::new(id, global, mem, numa);
         }
         let mem = mem.clone();
         let factory: EngineFactory = Box::new(move |tenant: TenantId, budget: usize| {
             if tenant.is_default() {
-                match kind {
-                    EngineKind::SlabLru => {
-                        let pool =
-                            LocalPool::new(Arc::clone(&global), &mem, numa, MemPolicy::ThreadLocal);
-                        Box::new(SlabLru::new(SlabStore::new(pool)))
-                    }
-                    EngineKind::Seg => Box::new(SegEngine::new(seg_budget_bytes)),
-                }
+                pool_engine(Arc::clone(&global), &mem, numa)
             } else {
-                build_engine(kind, budget)
+                build_engine(budget)
             }
         });
+        Self::with_engine(id, Box::new(TenantEngine::new(tenants.clone(), factory)))
+    }
+
+    fn with_engine(id: CacheletId, engine: Box<dyn Engine>) -> Self {
         Self {
-            meta: Cachelet::with_engine(id, Box::new(TenantEngine::new(tenants.clone(), factory))),
+            meta: Cachelet::with_engine(id, engine),
             migration: None,
             transferred: HashSet::new(),
             stats_base: EngineStats::default(),
@@ -258,9 +227,8 @@ impl CacheUnit {
     }
 
     /// Engine counter increments since the previous call (evictions,
-    /// expirations, reclaimed bytes, segment events), for pumping into
-    /// the worker's metrics shard. Point-in-time fields carry current
-    /// values.
+    /// expirations, reclaimed bytes), for pumping into the worker's
+    /// metrics shard. Point-in-time fields carry current values.
     pub fn take_stats_delta(&mut self) -> EngineStats {
         let now = self.meta.engine_stats();
         let delta = now.counter_delta(&self.stats_base);
@@ -367,15 +335,11 @@ mod tests {
     use super::*;
     use mbal_core::mem::GlobalPool;
 
-    fn unit_of(kind: EngineKind, id: u32) -> CacheUnit {
+    fn unit(id: u32) -> CacheUnit {
         let mut mem = MemConfig::with_capacity(1 << 20);
         mem.chunk_size = 1 << 14;
         let global = Arc::new(GlobalPool::new(1 << 20, 1 << 14, 1));
-        CacheUnit::with_engine_kind(kind, CacheletId(id), global, &mem, 0, 1 << 20)
-    }
-
-    fn unit(id: u32) -> CacheUnit {
-        unit_of(EngineKind::SlabLru, id)
+        CacheUnit::new(CacheletId(id), global, &mem, 0)
     }
 
     #[test]
@@ -392,8 +356,8 @@ mod tests {
     }
 
     #[test]
-    fn seg_unit_serves_the_full_surface() {
-        let mut u = unit_of(EngineKind::Seg, 7);
+    fn unit_serves_the_full_surface() {
+        let mut u = unit(7);
         u.set(b"k", b"value", 0, 0).expect("set");
         assert_eq!(u.get(b"k", 0).expect("hit"), b"value");
         assert_eq!(u.value_bytes(), 5);
@@ -427,26 +391,23 @@ mod tests {
 
     #[test]
     fn migration_drains_every_bucket_exactly_once() {
-        for kind in [EngineKind::SlabLru, EngineKind::Seg] {
-            let mut u = unit_of(kind, 1);
-            for i in 0..300u32 {
-                u.set(format!("k{i}").as_bytes(), &i.to_le_bytes(), 0, 0)
-                    .expect("set");
-            }
-            u.begin_migration(WorkerAddr::new(1, 0));
-            let mut moved = Vec::new();
-            while let Some(batch) = u.drain_next_bucket() {
-                moved.extend(batch);
-            }
-            assert_eq!(moved.len(), 300, "engine {kind}");
-            assert_eq!(u.value_bytes(), 0, "engine {kind}");
-            // Keys are unique.
-            let set: std::collections::HashSet<_> =
-                moved.iter().map(|(k, _, _)| k.clone()).collect();
-            assert_eq!(set.len(), 300, "engine {kind}");
-            u.finish_migration();
-            assert!(u.migration().is_none());
+        let mut u = unit(1);
+        for i in 0..300u32 {
+            u.set(format!("k{i}").as_bytes(), &i.to_le_bytes(), 0, 0)
+                .expect("set");
         }
+        u.begin_migration(WorkerAddr::new(1, 0));
+        let mut moved = Vec::new();
+        while let Some(batch) = u.drain_next_bucket() {
+            moved.extend(batch);
+        }
+        assert_eq!(moved.len(), 300);
+        assert_eq!(u.value_bytes(), 0);
+        // Keys are unique.
+        let set: std::collections::HashSet<_> = moved.iter().map(|(k, _, _)| k.clone()).collect();
+        assert_eq!(set.len(), 300);
+        u.finish_migration();
+        assert!(u.migration().is_none());
     }
 
     #[test]
@@ -477,58 +438,49 @@ mod tests {
 
     #[test]
     fn inserts_during_migration_stay_in_undrained_buckets() {
-        for kind in [EngineKind::SlabLru, EngineKind::Seg] {
-            let mut u = unit_of(kind, 1);
-            for i in 0..200u32 {
-                u.set(format!("k{i}").as_bytes(), b"v", 0, 0).expect("set");
-            }
-            u.begin_migration(WorkerAddr::new(1, 0));
-            let partitions = u.meta().engine().partition_count();
-            // Freeze holds even under further inserts.
-            for i in 200..1_000u32 {
-                u.set(format!("k{i}").as_bytes(), b"v", 0, 0).expect("set");
-            }
-            assert_eq!(u.meta().engine().partition_count(), partitions);
-            // And the full drain still moves everything.
-            let mut moved = 0;
-            while let Some(batch) = u.drain_next_bucket() {
-                moved += batch.len();
-            }
-            assert_eq!(moved, 1_000, "engine {kind}");
+        let mut u = unit(1);
+        for i in 0..200u32 {
+            u.set(format!("k{i}").as_bytes(), b"v", 0, 0).expect("set");
         }
+        u.begin_migration(WorkerAddr::new(1, 0));
+        let partitions = u.meta().engine().partition_count();
+        // Freeze holds even under further inserts.
+        for i in 200..1_000u32 {
+            u.set(format!("k{i}").as_bytes(), b"v", 0, 0).expect("set");
+        }
+        assert_eq!(u.meta().engine().partition_count(), partitions);
+        // And the full drain still moves everything.
+        let mut moved = 0;
+        while let Some(batch) = u.drain_next_bucket() {
+            moved += batch.len();
+        }
+        assert_eq!(moved, 1_000);
     }
 
     #[test]
     fn install_entries_on_destination() {
-        // Cross-engine migration: drain a slab unit into a seg unit and
-        // back, exercising the shared `(key, value, expiry)` transfer
-        // format.
-        for (src_kind, dst_kind) in [
-            (EngineKind::SlabLru, EngineKind::Seg),
-            (EngineKind::Seg, EngineKind::SlabLru),
-        ] {
-            let mut src = unit_of(src_kind, 1);
-            for i in 0..50u32 {
-                src.set(format!("k{i}").as_bytes(), &i.to_le_bytes(), 0, 0)
-                    .expect("set");
-            }
-            src.begin_migration(WorkerAddr::new(1, 0));
-            let mut dst = unit_of(dst_kind, 1);
-            while let Some(batch) = src.drain_next_bucket() {
-                let entries: Vec<(Vec<u8>, Value, u64)> = batch
-                    .into_iter()
-                    .map(|(k, v, e)| (k.into_vec(), v.into(), e))
-                    .collect();
-                let n = entries.len();
-                assert_eq!(dst.install_entries(entries, 0), n);
-            }
-            for i in 0..50u32 {
-                assert_eq!(
-                    dst.get(format!("k{i}").as_bytes(), 0).expect("hit"),
-                    i.to_le_bytes(),
-                    "{src_kind}->{dst_kind}"
-                );
-            }
+        // Drain one unit into another through the `(key, value, expiry)`
+        // transfer format.
+        let mut src = unit(1);
+        for i in 0..50u32 {
+            src.set(format!("k{i}").as_bytes(), &i.to_le_bytes(), 0, 0)
+                .expect("set");
+        }
+        src.begin_migration(WorkerAddr::new(1, 0));
+        let mut dst = unit(2);
+        while let Some(batch) = src.drain_next_bucket() {
+            let entries: Vec<(Vec<u8>, Value, u64)> = batch
+                .into_iter()
+                .map(|(k, v, e)| (k.into_vec(), v.into(), e))
+                .collect();
+            let n = entries.len();
+            assert_eq!(dst.install_entries(entries, 0), n);
+        }
+        for i in 0..50u32 {
+            assert_eq!(
+                dst.get(format!("k{i}").as_bytes(), 0).expect("hit"),
+                i.to_le_bytes()
+            );
         }
     }
 

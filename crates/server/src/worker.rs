@@ -906,8 +906,7 @@ impl Worker {
         let now = self.now_ms();
         for u in self.units.values_mut() {
             u.end_epoch(epoch_secs);
-            // Per-epoch engine maintenance: proactive TTL expiry
-            // (whole-segment reclamation under the seg engine).
+            // Per-epoch engine maintenance: proactive TTL expiry.
             u.maintain(now);
         }
         self.tracker.end_epoch();
@@ -1085,8 +1084,6 @@ impl Worker {
             m.add(Counter::Expirations, d.expirations);
             m.add(Counter::EvictedBytes, d.evicted_bytes);
             m.add(Counter::ExpiredBytes, d.expired_bytes);
-            m.add(Counter::SegmentsExpired, d.segments_expired);
-            m.add(Counter::SegMerges, d.seg_merges);
         }
         let cachelets: Vec<_> = self.units.values().map(|u| u.load_record()).collect();
         m.set_gauge(Gauge::MemBytes, cachelets.iter().map(|c| c.mem_bytes).sum());

@@ -4,7 +4,6 @@
 
 use crossbeam_channel::bounded;
 use mbal_core::clock::ManualClock;
-use mbal_core::engine::EngineKind;
 use mbal_core::hotkey::HotKeyConfig;
 use mbal_core::mem::{GlobalPool, MemConfig};
 use mbal_core::types::{CacheletId, Value, WorkerAddr, WorkerId};
@@ -25,11 +24,7 @@ struct Fixture {
 }
 
 fn fixture(addr: WorkerAddr, cachelets: &[u32]) -> Fixture {
-    fixture_with_engine(addr, cachelets, EngineKind::from_env())
-}
-
-fn fixture_with_engine(addr: WorkerAddr, cachelets: &[u32], engine: EngineKind) -> Fixture {
-    fixture_with(addr, cachelets, engine, 16 << 20, None)
+    fixture_with(addr, cachelets, 16 << 20, None)
 }
 
 /// A worker over a global pool of `mem` bytes in 64 KiB chunks (local
@@ -39,7 +34,6 @@ fn fixture_with_engine(addr: WorkerAddr, cachelets: &[u32], engine: EngineKind) 
 fn fixture_with(
     addr: WorkerAddr,
     cachelets: &[u32],
-    engine: EngineKind,
     mem_bytes: usize,
     gate: Option<std::sync::mpsc::Receiver<()>>,
 ) -> Fixture {
@@ -69,14 +63,7 @@ fn fixture_with(
             if let Some(gate) = &gate {
                 let _ = gate.recv();
             }
-            CacheUnit::with_engine_kind(
-                engine,
-                id,
-                Arc::clone(&factory_global),
-                &factory_mem,
-                0,
-                mem_bytes,
-            )
+            CacheUnit::new(id, Arc::clone(&factory_global), &factory_mem, 0)
         }),
         tenants: mbal_tenant::TenantDirectory::new(),
     };
@@ -89,14 +76,7 @@ fn fixture_with(
         _join: join,
     };
     for &c in cachelets {
-        let unit = Box::new(CacheUnit::with_engine_kind(
-            engine,
-            CacheletId(c),
-            Arc::clone(&global),
-            &mem,
-            0,
-            mem_bytes,
-        ));
+        let unit = Box::new(CacheUnit::new(CacheletId(c), Arc::clone(&global), &mem, 0));
         f.ask(|w| w.adopt(unit, None));
     }
     f
@@ -411,8 +391,8 @@ fn migration_write_invalidate_rules() {
 }
 
 #[test]
-fn seg_engine_whole_segment_expiry_reaches_stats_report() {
-    let f = fixture_with_engine(WorkerAddr::new(0, 0), &[1], EngineKind::Seg);
+fn maintenance_expiry_reaches_stats_report() {
+    let f = fixture(WorkerAddr::new(0, 0), &[1]);
     for i in 0..40u32 {
         // One TTL cohort, all expired by t = 6 s.
         let r = f.rpc(Request::Set {
@@ -429,18 +409,14 @@ fn seg_engine_whole_segment_expiry_reaches_stats_report() {
     let report = f.epoch();
     assert_eq!(report.load.metrics.get(Counter::Expirations), 40);
     assert_eq!(report.load.metrics.get(Counter::ExpiredBytes), 40 * 50);
-    assert!(
-        report.load.metrics.get(Counter::SegmentsExpired) >= 1,
-        "whole-segment reclamation must be visible"
-    );
     // Expired keys read as misses afterwards.
     assert_eq!(get(&f, 1, b"ttl0"), Response::NotFound);
     f.shutdown();
 }
 
 #[test]
-fn slab_engine_lazy_expiry_reaches_stats_report() {
-    let f = fixture_with_engine(WorkerAddr::new(0, 0), &[1], EngineKind::SlabLru);
+fn lazy_expiry_reaches_stats_report() {
+    let f = fixture(WorkerAddr::new(0, 0), &[1]);
     let r = f.rpc(Request::Set {
         cachelet: CacheletId(1),
         key: b"soon".to_vec(),
@@ -689,13 +665,7 @@ fn concat_propagates_full_value_to_replicas() {
 fn an_empty_unit_on_a_full_server_still_accepts_sets() {
     // 1 MiB of cache, far below the local pools' 4 MiB high watermark:
     // units never hand chunks back on their own.
-    let f = fixture_with(
-        WorkerAddr::new(0, 0),
-        &[1, 2],
-        EngineKind::SlabLru,
-        1 << 20,
-        None,
-    );
+    let f = fixture_with(WorkerAddr::new(0, 0), &[1, 2], 1 << 20, None);
     let value = vec![7u8; 3000];
     for i in 0..1200u32 {
         let resp = set(&f, 1 + i % 2, format!("fill{i}").as_bytes(), &value);
@@ -801,13 +771,7 @@ fn a_cast_queued_before_an_inline_read_is_visible_to_it() {
 #[test]
 fn a_busy_worker_makes_callers_queue_and_honour_their_deadline() {
     let (open, gate) = std::sync::mpsc::channel();
-    let f = fixture_with(
-        WorkerAddr::new(0, 0),
-        &[1],
-        EngineKind::SlabLru,
-        16 << 20,
-        Some(gate),
-    );
+    let f = fixture_with(WorkerAddr::new(0, 0), &[1], 16 << 20, Some(gate));
     let addr = WorkerAddr::new(0, 0);
     set(&f, 1, b"k", b"v");
     // Promoting replicas into a cachelet the worker does not own makes
@@ -927,13 +891,7 @@ fn a_one_request_batch_is_not_a_batch_rpc() {
 #[test]
 fn ask_answers_none_once_the_worker_shuts_down() {
     let (open, gate) = std::sync::mpsc::channel();
-    let f = fixture_with(
-        WorkerAddr::new(0, 0),
-        &[],
-        EngineKind::SlabLru,
-        16 << 20,
-        Some(gate),
-    );
+    let f = fixture_with(WorkerAddr::new(0, 0), &[], 16 << 20, Some(gate));
     // Building the promoted unit waits at the gate: the worker is busy.
     f.cell.tell(|w| {
         w.promote_replicas(CacheletId(5), 64, 8);
@@ -1189,13 +1147,7 @@ fn a_read_during_a_transfer_never_bounces_for_a_key_no_end_holds() {
 
 #[test]
 fn state_building_requests_are_left_to_the_worker_thread() {
-    let f = fixture_with(
-        WorkerAddr::new(0, 0),
-        &[1],
-        EngineKind::SlabLru,
-        16 << 20,
-        None,
-    );
+    let f = fixture_with(WorkerAddr::new(0, 0), &[1], 16 << 20, None);
     let set_k = |key: &str| Request::Set {
         cachelet: CacheletId(1),
         key: key.as_bytes().to_vec(),

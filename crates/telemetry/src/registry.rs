@@ -92,11 +92,6 @@ pub enum Counter {
     EvictedBytes,
     /// Value bytes released by TTL expiry.
     ExpiredBytes,
-    /// Whole segments reclaimed by proactive TTL-bucket expiry (seg
-    /// engine only).
-    SegmentsExpired,
-    /// Merge-based eviction passes (seg engine only).
-    SegMerges,
     /// Client front-cache reads served locally (never reached the wire).
     FrontHits,
     /// Front-cache entries rejected at read time for TTL expiry or a
@@ -114,7 +109,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters in the catalog.
-    pub const COUNT: usize = 42;
+    pub const COUNT: usize = 40;
 
     /// Every counter, in index order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -153,8 +148,6 @@ impl Counter {
         Counter::Expirations,
         Counter::EvictedBytes,
         Counter::ExpiredBytes,
-        Counter::SegmentsExpired,
-        Counter::SegMerges,
         Counter::FrontHits,
         Counter::FrontStaleRejected,
         Counter::SketchPromotions,
@@ -200,8 +193,6 @@ impl Counter {
             Counter::Expirations => "expirations",
             Counter::EvictedBytes => "evicted_bytes",
             Counter::ExpiredBytes => "expired_bytes",
-            Counter::SegmentsExpired => "segments_expired",
-            Counter::SegMerges => "seg_merges",
             Counter::FrontHits => "front_hits",
             Counter::FrontStaleRejected => "front_stale_rejected",
             Counter::SketchPromotions => "sketch_promotions",

@@ -192,7 +192,7 @@ mod tests {
         shard.incr(Counter::Gets);
         shard.incr(Counter::GetHits);
         shard.set_gauge(Gauge::CacheletsOwned, 2);
-        shard.add(Counter::SegmentsExpired, 3);
+        shard.add(Counter::Evictions, 3);
         shard.add(Counter::ExpiredBytes, 1_024);
         shard.record_read_us(120);
         shard.record_write_us(300);
@@ -281,7 +281,7 @@ mod tests {
         assert!(text.contains("mbal_ops_total{server=\"1\",worker=\"2\"} 1"));
         assert!(text.contains("mbal_cachelets_owned{server=\"1\",worker=\"2\"} 2"));
         // Storage-engine reclamation counters reach the scrape surface.
-        assert!(text.contains("mbal_segments_expired_total{server=\"1\",worker=\"2\"} 3"));
+        assert!(text.contains("mbal_evictions_total{server=\"1\",worker=\"2\"} 3"));
         assert!(text.contains("mbal_expired_bytes_total{server=\"1\",worker=\"2\"} 1024"));
         assert!(text.contains("quantile=\"0.99\""));
         assert!(text.contains("mbal_read_latency_us_count{server=\"1\",worker=\"2\"} 1"));

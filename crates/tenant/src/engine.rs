@@ -21,7 +21,7 @@
 //! correctly at the destination.
 
 use crate::quota::{TenantDirectory, TenantQuota};
-use mbal_core::engine::{build_engine, Engine, EngineKind, EngineStats, TenantUsage};
+use mbal_core::engine::{build_engine, Engine, EngineStats, TenantUsage};
 use mbal_core::table::SetOutcome;
 use mbal_core::types::{CacheError, TenantId, Value};
 use std::collections::BTreeMap;
@@ -103,15 +103,12 @@ impl TenantEngine {
         this
     }
 
-    /// Convenience constructor: every tenant gets an inner engine of
-    /// `kind` via [`build_engine`]. Servers that want the default
+    /// Convenience constructor: every tenant gets a heap-backed slab
+    /// engine via [`build_engine`]. Servers that want the default
     /// tenant pool-backed pass a custom factory to [`TenantEngine::new`]
     /// instead.
-    pub fn with_kind(kind: EngineKind, directory: TenantDirectory) -> Self {
-        Self::new(
-            directory,
-            Box::new(move |_t, budget| build_engine(kind, budget)),
-        )
+    pub fn with_slab(directory: TenantDirectory) -> Self {
+        Self::new(directory, Box::new(|_t, budget| build_engine(budget)))
     }
 
     /// The directory this engine consults for quotas.
@@ -304,8 +301,6 @@ impl Engine for TenantEngine {
             total.expirations += st.expirations;
             total.evicted_bytes += st.evicted_bytes;
             total.expired_bytes += st.expired_bytes;
-            total.segments_expired += st.segments_expired;
-            total.seg_merges += st.seg_merges;
         }
         total
     }
@@ -403,11 +398,8 @@ mod tests {
             .with_tenant(TenantId(2), TenantQuota::new(16 << 10, 64 << 10))
     }
 
-    fn engines() -> Vec<TenantEngine> {
-        vec![
-            TenantEngine::with_kind(EngineKind::SlabLru, dir()),
-            TenantEngine::with_kind(EngineKind::Seg, dir()),
-        ]
+    fn engine() -> TenantEngine {
+        TenantEngine::with_slab(dir())
     }
 
     #[test]
@@ -415,137 +407,124 @@ mod tests {
         let namespaced = namespaced_key(TenantId(7), b"user:42");
         let (t, rest) = split_namespaced(&namespaced);
         assert_eq!((t, rest), (TenantId(7), &b"user:42"[..]));
-        for mut e in engines() {
-            for t in [0u16, 1, 2] {
-                let k = namespaced_key(TenantId(t), b"shared-key");
-                e.set(&k, format!("value-of-{t}").as_bytes(), 0, 0)
-                    .expect("set");
-            }
-            for t in [0u16, 1, 2] {
-                let k = namespaced_key(TenantId(t), b"shared-key");
-                assert_eq!(
-                    e.get(&k, 0).expect("hit").as_ref(),
-                    format!("value-of-{t}").as_bytes()
-                );
-            }
-            let k1 = namespaced_key(TenantId(1), b"shared-key");
-            assert!(e.delete(&k1, 0));
-            assert!(e.get(&k1, 0).is_none(), "deleted for tenant 1");
-            let k2 = namespaced_key(TenantId(2), b"shared-key");
-            assert!(e.get(&k2, 0).is_some(), "untouched for tenant 2");
+        let mut e = engine();
+        for t in [0u16, 1, 2] {
+            let k = namespaced_key(TenantId(t), b"shared-key");
+            e.set(&k, format!("value-of-{t}").as_bytes(), 0, 0)
+                .expect("set");
         }
+        for t in [0u16, 1, 2] {
+            let k = namespaced_key(TenantId(t), b"shared-key");
+            assert_eq!(
+                e.get(&k, 0).expect("hit").as_ref(),
+                format!("value-of-{t}").as_bytes()
+            );
+        }
+        let k1 = namespaced_key(TenantId(1), b"shared-key");
+        assert!(e.delete(&k1, 0));
+        assert!(e.get(&k1, 0).is_none(), "deleted for tenant 1");
+        let k2 = namespaced_key(TenantId(2), b"shared-key");
+        assert!(e.get(&k2, 0).is_some(), "untouched for tenant 2");
     }
 
     #[test]
     fn budgets_start_at_quota_midpoint_and_clamp_on_update() {
-        for mut e in engines() {
-            let k = namespaced_key(TenantId(1), b"k");
-            e.set(&k, b"v", 0, 0).expect("set");
-            let usage = e.tenant_usage();
-            let row = usage.iter().find(|u| u.tenant == TenantId(1)).expect("row");
-            assert_eq!(row.budget_bytes, 40 << 10, "midway between 16K and 64K");
-            // Over-ceiling request clamps to the ceiling; under-floor to
-            // the floor.
-            assert!(e.set_tenant_budget(TenantId(1), 1 << 30));
-            assert!(e.set_tenant_budget(TenantId(2), 1));
-            let usage = e.tenant_usage();
-            let b = |t: u16| {
-                usage
-                    .iter()
-                    .find(|u| u.tenant == TenantId(t))
-                    .expect("row")
-                    .budget_bytes
-            };
-            assert_eq!(b(1), 64 << 10);
-            assert_eq!(b(2), 16 << 10, "budget set before first touch sticks");
-        }
+        let mut e = engine();
+        let k = namespaced_key(TenantId(1), b"k");
+        e.set(&k, b"v", 0, 0).expect("set");
+        let usage = e.tenant_usage();
+        let row = usage.iter().find(|u| u.tenant == TenantId(1)).expect("row");
+        assert_eq!(row.budget_bytes, 40 << 10, "midway between 16K and 64K");
+        // Over-ceiling request clamps to the ceiling; under-floor to
+        // the floor.
+        assert!(e.set_tenant_budget(TenantId(1), 1 << 30));
+        assert!(e.set_tenant_budget(TenantId(2), 1));
+        let usage = e.tenant_usage();
+        let b = |t: u16| {
+            usage
+                .iter()
+                .find(|u| u.tenant == TenantId(t))
+                .expect("row")
+                .budget_bytes
+        };
+        assert_eq!(b(1), 64 << 10);
+        assert_eq!(b(2), 16 << 10, "budget set before first touch sticks");
     }
 
     #[test]
     fn flood_evicts_only_the_flooding_tenant() {
-        for mut e in engines() {
-            // Seed tenant 2 with entries well under its budget.
-            for i in 0..20u32 {
-                let k = namespaced_key(TenantId(2), format!("keep{i}").as_bytes());
-                e.set(&k, &[7u8; 128], 0, 0).expect("seed");
-            }
-            // Tenant 1 floods far past its 64 KiB ceiling.
-            for i in 0..2_000u32 {
-                let k = namespaced_key(TenantId(1), format!("flood{i}").as_bytes());
-                e.set(&k, &[1u8; 256], 0, 0).expect("flood");
-            }
-            for i in 0..20u32 {
-                let k = namespaced_key(TenantId(2), format!("keep{i}").as_bytes());
-                assert!(
-                    e.get(&k, 0).is_some(),
-                    "tenant 2 lost `keep{i}` to tenant 1's flood"
-                );
-            }
-            let usage = e.tenant_usage();
-            let row = |t: u16| *usage.iter().find(|u| u.tenant == TenantId(t)).expect("row");
-            assert!(row(1).evictions > 0, "the flood itself evicted");
-            assert_eq!(row(2).evictions, 0, "victim tenant never evicted");
-            assert!(row(1).used_bytes <= (usize::MAX >> 1), "bounded");
+        let mut e = engine();
+        // Seed tenant 2 with entries well under its budget.
+        for i in 0..20u32 {
+            let k = namespaced_key(TenantId(2), format!("keep{i}").as_bytes());
+            e.set(&k, &[7u8; 128], 0, 0).expect("seed");
         }
+        // Tenant 1 floods far past its 64 KiB ceiling.
+        for i in 0..2_000u32 {
+            let k = namespaced_key(TenantId(1), format!("flood{i}").as_bytes());
+            e.set(&k, &[1u8; 256], 0, 0).expect("flood");
+        }
+        for i in 0..20u32 {
+            let k = namespaced_key(TenantId(2), format!("keep{i}").as_bytes());
+            assert!(
+                e.get(&k, 0).is_some(),
+                "tenant 2 lost `keep{i}` to tenant 1's flood"
+            );
+        }
+        let usage = e.tenant_usage();
+        let row = |t: u16| *usage.iter().find(|u| u.tenant == TenantId(t)).expect("row");
+        assert!(row(1).evictions > 0, "the flood itself evicted");
+        assert_eq!(row(2).evictions, 0, "victim tenant never evicted");
+        assert!(row(1).used_bytes <= (usize::MAX >> 1), "bounded");
     }
 
     #[test]
     fn migration_drain_covers_all_tenants_and_reprefixes_keys() {
-        for (mut src, mut dst) in [
-            (
-                TenantEngine::with_kind(EngineKind::SlabLru, dir()),
-                TenantEngine::with_kind(EngineKind::SlabLru, dir()),
-            ),
-            (
-                TenantEngine::with_kind(EngineKind::Seg, dir()),
-                TenantEngine::with_kind(EngineKind::Seg, dir()),
-            ),
-        ] {
-            for t in [0u16, 1, 2] {
-                for i in 0..50u32 {
-                    let k = namespaced_key(TenantId(t), format!("k{i}").as_bytes());
-                    src.set(&k, format!("{t}/{i}").as_bytes(), 0, 60_000)
-                        .expect("set");
-                }
+        let (mut src, mut dst) = (engine(), engine());
+        for t in [0u16, 1, 2] {
+            for i in 0..50u32 {
+                let k = namespaced_key(TenantId(t), format!("k{i}").as_bytes());
+                src.set(&k, format!("{t}/{i}").as_bytes(), 0, 60_000)
+                    .expect("set");
             }
-            src.freeze();
-            assert!(src.is_frozen());
-            let total = src.partition_count();
-            // A tenant that appears mid-migration maps to the sweep
-            // partition.
-            let late = namespaced_key(TenantId(9), b"late");
-            src.set(&late, b"late-v", 0, 60_000).expect("late set");
-            assert_eq!(src.partition_of(&late), total - 1);
-            let mut moved = 0usize;
-            for p in 0..total {
-                for (k, v, exp) in src.drain_partition(p) {
-                    dst.set(&k, &v, 0, exp).expect("install");
-                    moved += 1;
-                }
-            }
-            assert_eq!(moved, 151, "3 tenants x 50 + the late key");
-            assert_eq!(src.len(), 0, "source fully drained");
-            src.thaw();
-            assert!(!src.is_frozen());
-            for t in [0u16, 1, 2] {
-                for i in 0..50u32 {
-                    let k = namespaced_key(TenantId(t), format!("k{i}").as_bytes());
-                    assert_eq!(
-                        dst.get(&k, 0).expect("migrated").as_ref(),
-                        format!("{t}/{i}").as_bytes()
-                    );
-                }
-            }
-            assert_eq!(
-                dst.get(&late, 0).expect("late migrated").as_ref(),
-                b"late-v"
-            );
         }
+        src.freeze();
+        assert!(src.is_frozen());
+        let total = src.partition_count();
+        // A tenant that appears mid-migration maps to the sweep
+        // partition.
+        let late = namespaced_key(TenantId(9), b"late");
+        src.set(&late, b"late-v", 0, 60_000).expect("late set");
+        assert_eq!(src.partition_of(&late), total - 1);
+        let mut moved = 0usize;
+        for p in 0..total {
+            for (k, v, exp) in src.drain_partition(p) {
+                dst.set(&k, &v, 0, exp).expect("install");
+                moved += 1;
+            }
+        }
+        assert_eq!(moved, 151, "3 tenants x 50 + the late key");
+        assert_eq!(src.len(), 0, "source fully drained");
+        src.thaw();
+        assert!(!src.is_frozen());
+        for t in [0u16, 1, 2] {
+            for i in 0..50u32 {
+                let k = namespaced_key(TenantId(t), format!("k{i}").as_bytes());
+                assert_eq!(
+                    dst.get(&k, 0).expect("migrated").as_ref(),
+                    format!("{t}/{i}").as_bytes()
+                );
+            }
+        }
+        assert_eq!(
+            dst.get(&late, 0).expect("late migrated").as_ref(),
+            b"late-v"
+        );
     }
 
     #[test]
     fn partition_indices_stay_stable_while_frozen() {
-        let mut e = TenantEngine::with_kind(EngineKind::Seg, dir());
+        let mut e = engine();
         for t in [0u16, 1] {
             let k = namespaced_key(TenantId(t), b"x");
             e.set(&k, b"v", 0, 0).expect("set");
@@ -564,7 +543,7 @@ mod tests {
 
     #[test]
     fn aggregate_stats_sum_over_tenants() {
-        let mut e = TenantEngine::with_kind(EngineKind::SlabLru, dir());
+        let mut e = engine();
         for t in [0u16, 1, 2] {
             let k = namespaced_key(TenantId(t), b"k");
             e.set(&k, &[0u8; 64], 0, 0).expect("set");

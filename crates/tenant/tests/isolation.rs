@@ -1,7 +1,6 @@
-//! Cross-engine tenant isolation and arbitration-policy properties.
+//! Tenant isolation and arbitration-policy properties.
 //!
-//! Two claims the multi-tenancy subsystem makes, held here against both
-//! storage engines:
+//! Two claims the multi-tenancy subsystem makes:
 //!
 //! 1. **Isolation** — one tenant's write flood can never evict another
 //!    tenant's entries (randomized over several seeds and entry sizes).
@@ -11,7 +10,7 @@
 //!    epoch loop yields a strictly better aggregate hit rate than the
 //!    static midpoint split, without ever violating a reserved floor.
 
-use mbal_core::engine::{Engine, EngineKind};
+use mbal_core::engine::Engine;
 use mbal_tenant::{
     arbitrate, namespaced_key, ArbiterConfig, MrcEstimator, TenantDirectory, TenantEngine,
     TenantId, TenantLoad, TenantQuota,
@@ -23,69 +22,63 @@ use std::collections::HashMap;
 
 const KIB: u64 = 1 << 10;
 
-fn both_kinds() -> [EngineKind; 2] {
-    [EngineKind::SlabLru, EngineKind::Seg]
-}
-
 #[test]
 fn flood_never_evicts_another_tenant_randomized() {
-    for kind in both_kinds() {
-        for seed in [11u64, 23, 47] {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let dir = TenantDirectory::new()
-                .with_tenant(TenantId(1), TenantQuota::new(64 * KIB, 256 * KIB))
-                .with_tenant(TenantId(2), TenantQuota::new(64 * KIB, 256 * KIB));
-            let mut e = TenantEngine::with_kind(kind, dir);
+    for seed in [11u64, 23, 47] {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let dir = TenantDirectory::new()
+            .with_tenant(TenantId(1), TenantQuota::new(64 * KIB, 256 * KIB))
+            .with_tenant(TenantId(2), TenantQuota::new(64 * KIB, 256 * KIB));
+        let mut e = TenantEngine::with_slab(dir);
 
-            // Victim tenant 2 stores a modest working set, well under
-            // its reserved floor.
-            let mut victim = Vec::new();
-            let mut victim_bytes = 0usize;
-            while victim_bytes < 24 * KIB as usize {
-                let key = format!("v{}", victim.len()).into_bytes();
-                let len = rng.gen_range(64..512);
-                let val = vec![rng.gen::<u8>(); len];
-                e.set(&namespaced_key(TenantId(2), &key), &val, 0, 0)
-                    .expect("victim set");
-                victim_bytes += len;
-                victim.push((key, val));
-            }
+        // Victim tenant 2 stores a modest working set, well under
+        // its reserved floor.
+        let mut victim = Vec::new();
+        let mut victim_bytes = 0usize;
+        while victim_bytes < 24 * KIB as usize {
+            let key = format!("v{}", victim.len()).into_bytes();
+            let len = rng.gen_range(64..512);
+            let val = vec![rng.gen::<u8>(); len];
+            e.set(&namespaced_key(TenantId(2), &key), &val, 0, 0)
+                .expect("victim set");
+            victim_bytes += len;
+            victim.push((key, val));
+        }
 
-            // Tenant 1 floods far past its own ceiling with random
-            // sizes; every eviction this forces must land on itself.
-            for i in 0..4_000u32 {
-                let key = format!("f{seed}-{i}").into_bytes();
-                let len = rng.gen_range(64..1_024);
-                e.set(&namespaced_key(TenantId(1), &key), &vec![0xAB; len], 0, 0)
-                    .expect("flood set");
-            }
+        // Tenant 1 floods far past its own ceiling with random
+        // sizes; every eviction this forces must land on itself.
+        for i in 0..4_000u32 {
+            let key = format!("f{seed}-{i}").into_bytes();
+            let len = rng.gen_range(64..1_024);
+            e.set(&namespaced_key(TenantId(1), &key), &vec![0xAB; len], 0, 0)
+                .expect("flood set");
+        }
 
-            for (key, val) in &victim {
-                let got = e.get(&namespaced_key(TenantId(2), key), 0);
-                assert_eq!(
-                    got.as_deref(),
-                    Some(val.as_slice()),
-                    "[{kind}] seed {seed}: victim lost {:?} to the flood",
-                    String::from_utf8_lossy(key)
-                );
-            }
-            let usage = e.tenant_usage();
-            let row = |t: u16| *usage.iter().find(|u| u.tenant == TenantId(t)).expect("row");
-            assert_eq!(row(2).evictions, 0, "[{kind}] victim tenant evicted");
-            assert!(row(1).evictions > 0, "[{kind}] flood should self-evict");
-            assert!(
-                row(1).used_bytes as u64 <= 2 * 256 * KIB,
-                "[{kind}] flooder stays near its ceiling, got {}",
-                row(1).used_bytes
+        for (key, val) in &victim {
+            let got = e.get(&namespaced_key(TenantId(2), key), 0);
+            assert_eq!(
+                got.as_deref(),
+                Some(val.as_slice()),
+                "seed {seed}: victim lost {:?} to the flood",
+                String::from_utf8_lossy(key)
             );
         }
+        let usage = e.tenant_usage();
+        let row = |t: u16| *usage.iter().find(|u| u.tenant == TenantId(t)).expect("row");
+        assert_eq!(row(2).evictions, 0, "victim tenant evicted");
+        assert!(row(1).evictions > 0, "flood should self-evict");
+        assert!(
+            row(1).used_bytes as u64 <= 2 * 256 * KIB,
+            "flooder stays near its ceiling, got {}",
+            row(1).used_bytes
+        );
     }
 }
 
 /// One simulated run: a zipfian tenant (1) and a scanning tenant (2)
 /// share the unit read-through style; returns (aggregate hit rate over
 /// the second half, final budgets).
-fn run_two_tenants(kind: EngineKind, arbitrated: bool) -> (f64, HashMap<u16, u64>) {
+fn run_two_tenants(arbitrated: bool) -> (f64, HashMap<u16, u64>) {
     const VALUE: usize = 256;
     const OPS: u64 = 160_000;
     const EPOCH_OPS: u64 = 10_000;
@@ -95,7 +88,7 @@ fn run_two_tenants(kind: EngineKind, arbitrated: bool) -> (f64, HashMap<u16, u64
     let dir = TenantDirectory::new()
         .with_tenant(TenantId(1), TenantQuota::new(floor, ceiling))
         .with_tenant(TenantId(2), TenantQuota::new(floor, ceiling));
-    let mut e = TenantEngine::with_kind(kind, dir);
+    let mut e = TenantEngine::with_slab(dir);
     let mut zipf = Zipfian::new(30_000, 0.9);
     let mut rng = SmallRng::seed_from_u64(7);
     let mut scan_cursor = 0u64;
@@ -173,24 +166,22 @@ fn run_two_tenants(kind: EngineKind, arbitrated: bool) -> (f64, HashMap<u16, u64
 
 #[test]
 fn arbitration_beats_static_partitioning_on_skew_mismatch() {
-    for kind in both_kinds() {
-        let (static_hr, static_budgets) = run_two_tenants(kind, false);
-        let (arb_hr, arb_budgets) = run_two_tenants(kind, true);
+    let (static_hr, static_budgets) = run_two_tenants(false);
+    let (arb_hr, arb_budgets) = run_two_tenants(true);
 
-        // Static never moves off the midpoint split.
-        assert_eq!(static_budgets[&1], 2_048 * KIB);
-        assert_eq!(static_budgets[&2], 2_048 * KIB);
-        // The arbiter shifts memory from the reuse-free scanner to the
-        // zipfian tenant, never below the scanner's floor.
-        assert!(
-            arb_budgets[&1] > static_budgets[&1],
-            "[{kind}] zipfian tenant should have gained budget: {arb_budgets:?}"
-        );
-        assert!(arb_budgets[&2] >= 256 * KIB, "[{kind}] floor held");
-        assert!(
-            arb_hr > static_hr + 0.01,
-            "[{kind}] arbitration should beat the static split: \
-             arbitrated {arb_hr:.4} vs static {static_hr:.4}"
-        );
-    }
+    // Static never moves off the midpoint split.
+    assert_eq!(static_budgets[&1], 2_048 * KIB);
+    assert_eq!(static_budgets[&2], 2_048 * KIB);
+    // The arbiter shifts memory from the reuse-free scanner to the
+    // zipfian tenant, never below the scanner's floor.
+    assert!(
+        arb_budgets[&1] > static_budgets[&1],
+        "zipfian tenant should have gained budget: {arb_budgets:?}"
+    );
+    assert!(arb_budgets[&2] >= 256 * KIB, "floor held");
+    assert!(
+        arb_hr > static_hr + 0.01,
+        "arbitration should beat the static split: \
+         arbitrated {arb_hr:.4} vs static {static_hr:.4}"
+    );
 }

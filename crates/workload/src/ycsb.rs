@@ -163,9 +163,8 @@ impl WorkloadSpec {
 
     /// A TTL-heavy session-store mix: WorkloadC's 50% read / 50%
     /// update zipfian stream, but every update carries a short TTL
-    /// drawn from `[1 s, 8 s]`, so entries churn through expiry (and
-    /// the seg engine through whole-segment reclamation) within a
-    /// normal measurement window.
+    /// drawn from `[1 s, 8 s]`, so entries churn through expiry within
+    /// a normal measurement window.
     pub fn ttl_heavy(records: u64) -> Self {
         Self {
             ttl_range_ms: (1_000, 8_000),

@@ -17,17 +17,12 @@
 //!   migration races the traffic.
 //! - **Multi-tenancy**: front caches are per-client; two tenants
 //!   hammering the same key bytes never observe each other's values.
-//!
-//! Every scenario runs under the engine `MBAL_ENGINE` selects (the CI
-//! engine matrix drives both values), and the headline read-your-writes
-//! scenario is additionally pinned on both engines explicitly.
 
 use mbal::balancer::coordinator::Coordinator;
 use mbal::balancer::plan::Migration;
 use mbal::balancer::BalancerConfig;
 use mbal::client::{Client, CoordinatorLink, FrontCacheConfig, SetOptions};
 use mbal::core::clock::{Clock, ManualClock};
-use mbal::core::engine::EngineKind;
 use mbal::core::types::{ServerId, TenantId, WorkerAddr};
 use mbal::ring::{ConsistentRing, MappingTable};
 use mbal::server::{FaultInjector, FaultPlan, InProcRegistry, Server, ServerConfig, Transport};
@@ -54,23 +49,19 @@ struct Cluster {
 }
 
 impl Cluster {
-    fn start(engine: EngineKind) -> Self {
-        Self::start_inner(engine, None, None)
+    fn start() -> Self {
+        Self::start_inner(None, None)
     }
 
-    fn start_faulty(engine: EngineKind, plan: FaultPlan) -> Self {
-        Self::start_inner(engine, Some(plan), None)
+    fn start_faulty(plan: FaultPlan) -> Self {
+        Self::start_inner(Some(plan), None)
     }
 
-    fn start_tenanted(engine: EngineKind, tenants: TenantDirectory) -> Self {
-        Self::start_inner(engine, None, Some(tenants))
+    fn start_tenanted(tenants: TenantDirectory) -> Self {
+        Self::start_inner(None, Some(tenants))
     }
 
-    fn start_inner(
-        engine: EngineKind,
-        plan: Option<FaultPlan>,
-        tenants: Option<TenantDirectory>,
-    ) -> Self {
+    fn start_inner(plan: Option<FaultPlan>, tenants: Option<TenantDirectory>) -> Self {
         let mut ring = ConsistentRing::new();
         for s in 0..2u16 {
             ring.add_worker(WorkerAddr::new(s, 0));
@@ -84,9 +75,7 @@ impl Cluster {
             plan.map(|p| FaultInjector::new(Arc::clone(&registry) as Arc<dyn Transport>, p));
         let servers = (0..2u16)
             .map(|s| {
-                let mut cfg = ServerConfig::new(ServerId(s), 2, 32 << 20)
-                    .cachelets_per_worker(4)
-                    .engine(engine);
+                let mut cfg = ServerConfig::new(ServerId(s), 2, 32 << 20).cachelets_per_worker(4);
                 if let Some(dir) = &tenants {
                     cfg = cfg.tenants(dir.clone());
                 }
@@ -193,8 +182,9 @@ fn promote(client: &mut Client, key: &[u8], expect: &[u8]) {
 /// Read-your-writes: across many rewrite rounds of a hot key, a get
 /// issued right after an acked set must return exactly that value —
 /// the front tier never rolls a client's own writes back.
-fn read_your_writes_scenario(engine: EngineKind) {
-    let cluster = Cluster::start(engine);
+#[test]
+fn own_acked_writes_are_never_rolled_back_slab() {
+    let cluster = Cluster::start();
     let mut c = cluster.client(Some(eager_front()));
     let key = b"rw:hot";
 
@@ -208,7 +198,7 @@ fn read_your_writes_scenario(engine: EngineKind) {
             assert_eq!(
                 c.get(key).expect("get"),
                 Some(value.clone().into()),
-                "[{engine:?}] round {round}: front tier served a value \
+                "round {round}: front tier served a value \
                  older than the client's own acked write"
             );
         }
@@ -217,28 +207,13 @@ fn read_your_writes_scenario(engine: EngineKind) {
     let stats = c.stats();
     assert!(
         stats.front_hits > 0,
-        "[{engine:?}] scenario never exercised the front cache"
+        "scenario never exercised the front cache"
     );
     assert!(
         stats.sketch_promotions > 0,
-        "[{engine:?}] sketch never promoted the hot key"
+        "sketch never promoted the hot key"
     );
     cluster.shutdown();
-}
-
-#[test]
-fn own_acked_writes_are_never_rolled_back_slab() {
-    read_your_writes_scenario(EngineKind::SlabLru);
-}
-
-#[test]
-fn own_acked_writes_are_never_rolled_back_seg() {
-    read_your_writes_scenario(EngineKind::Seg);
-}
-
-#[test]
-fn own_acked_writes_are_never_rolled_back_env_engine() {
-    read_your_writes_scenario(EngineKind::from_env());
 }
 
 /// TTL bound: another client's write becomes visible within one front
@@ -246,7 +221,7 @@ fn own_acked_writes_are_never_rolled_back_env_engine() {
 /// TTL, so the reader falls back to the wire and sees the new value.
 #[test]
 fn front_entries_never_outlive_their_ttl() {
-    let cluster = Cluster::start(EngineKind::from_env());
+    let cluster = Cluster::start();
     let ttl = Duration::from_millis(25);
     let mut reader = cluster.client(Some(FrontCacheConfig::new().promote_min_count(2).ttl(ttl)));
     let mut writer = cluster.client(None);
@@ -284,7 +259,7 @@ fn front_entries_never_outlive_their_ttl() {
 /// rejected on the next read instead of being served.
 #[test]
 fn migration_version_bump_rejects_front_entries() {
-    let mut cluster = Cluster::start(EngineKind::from_env());
+    let mut cluster = Cluster::start();
     let mut c = cluster.client(Some(eager_front()));
     let key = b"mig:hot";
 
@@ -322,8 +297,7 @@ fn migration_version_bump_rejects_front_entries() {
 /// exactly like `tests/chaos.rs`.
 #[test]
 fn read_your_writes_survives_chaos_and_migration() {
-    let mut cluster =
-        Cluster::start_faulty(EngineKind::from_env(), FaultPlan::drops(0xC0FFEE, 0.05));
+    let mut cluster = Cluster::start_faulty(FaultPlan::drops(0xC0FFEE, 0.05));
     let mut c = cluster.client(Some(eager_front()));
 
     const KEYS: u32 = 8;
@@ -386,7 +360,7 @@ fn per_tenant_front_caches_never_leak_across_tenants() {
     let dir = TenantDirectory::new()
         .with_tenant(RED, TenantQuota::new(256 << 10, 1 << 20))
         .with_tenant(BLUE, TenantQuota::new(256 << 10, 1 << 20));
-    let cluster = Cluster::start_tenanted(EngineKind::from_env(), dir);
+    let cluster = Cluster::start_tenanted(dir);
 
     let mut red = cluster.client_for(RED, Some(eager_front()));
     let mut blue = cluster.client_for(BLUE, Some(eager_front()));

@@ -5,8 +5,8 @@
 //! touch another tenant's entries. A flooding tenant whose footprint
 //! exceeds its budget several times over churns through its own
 //! evictions while a quiet tenant's acked writes — comfortably inside
-//! their reserved floor — read back verbatim, in both storage engines,
-//! with a coordinated migration racing the flood, and with unknown
+//! their reserved floor — read back verbatim, with a coordinated
+//! migration racing the flood, and with unknown
 //! tenants bounced as a typed status rather than a dropped session.
 //!
 //! (The chaos suite extends the same invariant across injected
@@ -17,7 +17,6 @@ use mbal::balancer::plan::Migration;
 use mbal::balancer::BalancerConfig;
 use mbal::client::{Client, CoordinatorLink, SetOptions};
 use mbal::core::clock::{Clock, ManualClock};
-use mbal::core::engine::EngineKind;
 use mbal::core::types::{ServerId, TenantId, WorkerAddr};
 use mbal::proto::Status;
 use mbal::ring::{ConsistentRing, MappingTable};
@@ -44,7 +43,7 @@ struct Cluster {
 }
 
 impl Cluster {
-    fn start(engine: EngineKind) -> Self {
+    fn start() -> Self {
         let mut ring = ConsistentRing::new();
         for s in 0..2u16 {
             ring.add_worker(WorkerAddr::new(s, 0));
@@ -59,7 +58,6 @@ impl Cluster {
                 Server::spawn(
                     ServerConfig::new(ServerId(s), 2, 32 << 20)
                         .cachelets_per_worker(4)
-                        .engine(engine)
                         .tenants(directory()),
                     &mapping,
                     &registry,
@@ -102,8 +100,9 @@ fn quiet_value(i: u32) -> Vec<u8> {
 /// Writes the quiet tenant's working set, floods from the noisy
 /// tenant, and asserts the quiet set is untouched while the flooder
 /// paid for its own overrun.
-fn flood_scenario(engine: EngineKind) {
-    let cluster = Cluster::start(engine);
+#[test]
+fn flood_cannot_evict_the_quiet_tenant_slab() {
+    let cluster = Cluster::start();
     let mut quiet = cluster.client_for(QUIET);
     let mut flood = cluster.client_for(FLOOD);
 
@@ -126,7 +125,7 @@ fn flood_scenario(engine: EngineKind) {
         assert_eq!(
             quiet.get(&quiet_key(i)).expect("quiet get"),
             Some(quiet_value(i).into()),
-            "[{engine:?}] flood evicted quiet key {i}: cross-tenant eviction"
+            "flood evicted quiet key {i}: cross-tenant eviction"
         );
     }
 
@@ -148,39 +147,22 @@ fn flood_scenario(engine: EngineKind) {
     }
     assert_eq!(
         quiet_evictions, 0,
-        "[{engine:?}] quiet tenant under its floor must never be evicted"
+        "quiet tenant under its floor must never be evicted"
     );
     assert!(
         flood_evictions > 0,
-        "[{engine:?}] the flooder must have evicted its own entries"
+        "the flooder must have evicted its own entries"
     );
     assert!(
         quiet_resident > 0,
-        "[{engine:?}] quiet tenant accounting shows nothing resident"
+        "quiet tenant accounting shows nothing resident"
     );
     cluster.shutdown();
 }
 
 #[test]
-fn flood_cannot_evict_the_quiet_tenant_slab() {
-    flood_scenario(EngineKind::SlabLru);
-}
-
-#[test]
-fn flood_cannot_evict_the_quiet_tenant_seg() {
-    flood_scenario(EngineKind::Seg);
-}
-
-/// The same invariant for whatever engine `MBAL_ENGINE` selects — the
-/// CI engine matrix drives this one explicitly under both values.
-#[test]
-fn flood_isolation_holds_for_the_env_selected_engine() {
-    flood_scenario(EngineKind::from_env());
-}
-
-#[test]
 fn unknown_tenant_is_a_typed_rejection_not_a_dropped_session() {
-    let cluster = Cluster::start(EngineKind::from_env());
+    let cluster = Cluster::start();
     let mut ghost = cluster.client_for(TenantId(9));
 
     let err = ghost
@@ -209,7 +191,7 @@ fn unknown_tenant_is_a_typed_rejection_not_a_dropped_session() {
 /// flood raging around it.
 #[test]
 fn quiet_tenant_survives_a_flood_racing_a_migration() {
-    let mut cluster = Cluster::start(EngineKind::from_env());
+    let mut cluster = Cluster::start();
     let mut quiet = cluster.client_for(QUIET);
     let mut flood = cluster.client_for(FLOOD);
 
