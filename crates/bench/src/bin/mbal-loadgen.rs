@@ -10,6 +10,10 @@
 //!     --rate 20000 --threads 4 --warmup-secs 1 --measure-secs 4 \
 //!     --records 10000 --seed 42 --transport inproc --out BENCH_results.json
 //! ```
+//!
+//! An unknown flag, a flag without a value, or a value that does not
+//! parse prints a usage error and exits with status 2 before any cell
+//! runs.
 
 use mbal_balancer::PhaseSet;
 use mbal_bench::loadgen::{
@@ -17,32 +21,20 @@ use mbal_bench::loadgen::{
     LoadgenReport, Mix, TenancyMode, TransportMode,
 };
 use mbal_scenario::{AutoscalerConfig, DiurnalCurve};
+use mbal_server::cli::Args;
 
-fn flag(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: mbal-loadgen [--mix M1,M2] [--phases P1,P2] [--defense D] \
-         [--rate OPS] [--threads N] [--warmup-secs S] [--measure-secs S] [--records N] [--seed N] \
-         [--transport inproc|tcp] [--servers N] [--workers N] [--out PATH] \
-         [--diurnal flat|two-phase:LOW|T:M,T:M,…] [--autoscale on|off] [--spares N] \
-         [--origin-fetch-ms MS] [--compare BASELINE.json [--tolerance FRAC]]\n\
-         mixes: ycsb-a ycsb-b ycsb-c hotshift ttl-heavy multi-tenant extreme-zipf \
-         video-cdn social-feed session-store; \
-         phases: off p1 p2 p3 p1p2 all …; \
-         defenses: off front bounded both\n\
-         (multi-tenant runs each cell twice: static partitioning, then arbitrated; \
-         extreme-zipf runs each cell once per defense combination; --autoscale holds \
-         --spares cold nodes the reactive scaler can join on the diurnal ramp)"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: mbal-loadgen [--mix M1,M2] [--phases P1,P2] [--defense D] \
+[--rate OPS] [--threads N] [--warmup-secs S] [--measure-secs S] [--records N] [--seed N] \
+[--transport inproc|tcp] [--servers N] [--workers N] [--out PATH] \
+[--diurnal flat|two-phase:LOW|T:M,T:M,…] [--autoscale on|off] [--spares N] \
+[--origin-fetch-ms MS] [--compare BASELINE.json [--tolerance FRAC]]
+mixes: ycsb-a ycsb-b ycsb-c hotshift ttl-heavy multi-tenant extreme-zipf \
+video-cdn social-feed session-store; \
+phases: off p1 p2 p3 p1p2 all …; \
+defenses: off front bounded both
+(multi-tenant runs each cell twice: static partitioning, then arbitrated; \
+extreme-zipf runs each cell once per defense combination; --autoscale holds \
+--spares cold nodes the reactive scaler can join on the diurnal ramp)";
 
 /// `flat` → no curve; `two-phase:LOW` → the canonical day/night shape;
 /// anything else is raw `t:mult,t:mult` control points.
@@ -56,63 +48,66 @@ fn parse_diurnal(s: &str) -> Option<Option<DiurnalCurve>> {
     DiurnalCurve::parse(s).map(Some)
 }
 
-fn parse_list<T>(raw: Option<String>, default: &[T], parse: impl Fn(&str) -> Option<T>) -> Vec<T>
-where
-    T: Copy,
-{
-    match raw {
-        None => default.to_vec(),
-        Some(s) => {
-            let out: Vec<T> = s.split(',').filter_map(|p| parse(p.trim())).collect();
-            if out.is_empty() || out.len() != s.split(',').count() {
-                usage();
-            }
-            out
-        }
-    }
+/// The comma list in flag `name`, each item parsed by `parse`, or
+/// `default` when the flag is absent; any item that does not parse is a
+/// usage error.
+fn parse_list<T: Copy>(
+    args: &Args,
+    name: &str,
+    default: &[T],
+    parse: impl Fn(&str) -> Option<T>,
+) -> Vec<T> {
+    let Some(s) = args.raw(name) else {
+        return default.to_vec();
+    };
+    s.split(',')
+        .map(|p| parse(p.trim()))
+        .collect::<Option<Vec<T>>>()
+        .unwrap_or_else(|| args.usage_error(&format!("bad {name} value {s:?}")))
 }
 
 fn main() {
-    let mixes = parse_list(flag("--mix"), &[Mix::B, Mix::HotShift], Mix::parse);
+    let args = Args::parse("mbal-loadgen", USAGE, std::env::args().skip(1));
+    if let Some(arg) = args.positional.first() {
+        args.usage_error(&format!("unexpected argument {arg:?}"));
+    }
+    let mixes = parse_list(&args, "--mix", &[Mix::B, Mix::HotShift], Mix::parse);
     let phase_sets = parse_list(
-        flag("--phases"),
+        &args,
+        "--phases",
         &[PhaseSet::none(), PhaseSet::all()],
         PhaseSet::parse,
     );
-    let num = |name: &str, default: u64| -> u64 {
-        flag(name).map_or(default, |v| v.parse().unwrap_or_else(|_| usage()))
-    };
-    let secs = |name: &str, default: f64| -> f64 {
-        flag(name).map_or(default, |v| v.parse().unwrap_or_else(|_| usage()))
-    };
     let base = LoadgenConfig {
         mix: mixes[0],
         phases: phase_sets[0],
-        rate: num("--rate", 20_000),
-        threads: num("--threads", 4) as usize,
-        warmup_secs: secs("--warmup-secs", 1.0),
-        measure_secs: secs("--measure-secs", 4.0),
-        records: num("--records", 10_000),
-        seed: num("--seed", 42),
-        transport: flag("--transport").map_or(TransportMode::InProc, |v| {
-            TransportMode::parse(&v).unwrap_or_else(|| usage())
-        }),
-        servers: num("--servers", 2) as u16,
-        workers_per_server: num("--workers", 2) as u16,
+        rate: args.get_or("--rate", 20_000),
+        threads: args.get_or("--threads", 4),
+        warmup_secs: args.get_or("--warmup-secs", 1.0),
+        measure_secs: args.get_or("--measure-secs", 4.0),
+        records: args.get_or("--records", 10_000),
+        seed: args.get_or("--seed", 42),
+        transport: args
+            .parsed("--transport", TransportMode::parse)
+            .unwrap_or(TransportMode::InProc),
+        servers: args.get_or("--servers", 2),
+        workers_per_server: args.get_or("--workers", 2),
         tenancy: TenancyMode::Off,
-        defense: flag("--defense").map_or(DefenseMode::Off, |v| {
-            DefenseMode::parse(&v).unwrap_or_else(|| usage())
-        }),
-        diurnal: flag("--diurnal").and_then(|v| parse_diurnal(&v).unwrap_or_else(|| usage())),
-        autoscale: flag("--autoscale").and_then(|v| match v.as_str() {
-            "on" => Some(AutoscalerConfig::default()),
-            "off" => None,
-            _ => usage(),
-        }),
-        spares: num("--spares", 0) as u16,
-        origin_fetch_ms: num("--origin-fetch-ms", 0),
+        defense: args
+            .parsed("--defense", DefenseMode::parse)
+            .unwrap_or(DefenseMode::Off),
+        diurnal: args.parsed("--diurnal", parse_diurnal).flatten(),
+        autoscale: args
+            .parsed("--autoscale", |v| match v {
+                "on" => Some(Some(AutoscalerConfig::default())),
+                "off" => Some(None),
+                _ => None,
+            })
+            .flatten(),
+        spares: args.get_or("--spares", 0),
+        origin_fetch_ms: args.get_or("--origin-fetch-ms", 0),
     };
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_results.json".into());
+    let out_path = args.raw("--out").unwrap_or("BENCH_results.json");
 
     eprintln!(
         "mbal-loadgen: {} mix(es) × {} phase set(s), {} ops/s over {} thread(s), \
@@ -201,7 +196,7 @@ fn main() {
     }
 
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out_path, &json).expect("write report");
+    std::fs::write(out_path, &json).expect("write report");
     eprintln!("wrote {out_path}");
 
     // Perf-trajectory gate: against a committed baseline report, any
@@ -211,10 +206,9 @@ fn main() {
     // counts: the CO-safe clock charges scheduler stalls to p99, so a
     // single stall on a small runner blows one arbitrary cell's budget
     // — but a genuine regression reproduces on every recheck.
-    if let Some(baseline_path) = flag("--compare") {
-        let tolerance: f64 =
-            flag("--tolerance").map_or(0.20, |v| v.parse().unwrap_or_else(|_| usage()));
-        let raw = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
+    if let Some(baseline_path) = args.raw("--compare") {
+        let tolerance: f64 = args.get_or("--tolerance", 0.20);
+        let raw = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
             eprintln!("mbal-loadgen: cannot read baseline {baseline_path}: {e}");
             std::process::exit(1);
         });

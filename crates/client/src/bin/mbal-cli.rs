@@ -18,6 +18,10 @@
 //! `--tenant T` tags data ops with tenant `T` (multi-tenant servers);
 //! `tenants` prints per-tenant residency, budget, and hit rate.
 //!
+//! An unknown flag, a flag without a value, or a value that does not
+//! parse (`--tenant abc`, `--port 70000`) prints a usage error and exits
+//! with status 2 before anything connects.
+//!
 //! `--front-cache N` arms the client front tier with room for `N`
 //! sketch-confirmed hot keys (TTL-bounded staleness; see the client
 //! `front` module). A single-shot CLI process cannot profit from it —
@@ -31,19 +35,12 @@ use mbal_core::types::{TenantId, WorkerAddr};
 use mbal_membership::{MembershipView, NodeState};
 use mbal_proto::{Request, Response};
 use mbal_ring::{ConsistentRing, MappingTable};
+use mbal_server::cli::Args;
 use mbal_server::tcp::TcpTransport;
 use mbal_server::Transport;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
-
-fn flag(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 /// A static coordinator stub: the CLI trusts its reconstructed mapping
 /// and relies on `Moved` redirects for anything that shifted.
@@ -63,50 +60,30 @@ impl CoordinatorLink for StaticMapping {
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: mbal-cli [--host H] [--port P] [--workers N] [--cachelets N] \
-         [--tenant T] [--front-cache N] [--instance TYPE] \\
-         <get KEY | set KEY VALUE | del KEY | stats | stats-reset | cluster-status | tenants>\n\
-         --instance picks the Table-1 cost-model row for the cluster-status \
-         cost footer (default c3.large)"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: mbal-cli [--host H] [--port P] [--workers N] [--cachelets N] \
+[--tenant T] [--front-cache N] [--instance TYPE] \
+<get KEY | set KEY VALUE | del KEY | stats | stats-reset | cluster-status | tenants>
+--instance picks the Table-1 cost-model row for the cluster-status cost footer (default c3.large)";
 
 fn main() {
-    let host = flag("--host").unwrap_or_else(|| "127.0.0.1".into());
-    let port: u16 = flag("--port").and_then(|v| v.parse().ok()).unwrap_or(11311);
-    let workers: u16 = flag("--workers").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let cachelets: usize = flag("--cachelets")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let tenant: u16 = flag("--tenant").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let front_entries: usize = flag("--front-cache")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let instance_name = flag("--instance").unwrap_or_else(|| "c3.large".into());
-
-    // Positional command starts after the flags.
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut pos = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            pos.push(args[i].clone());
-            i += 1;
-        }
-    }
+    let args = Args::parse("mbal-cli", USAGE, std::env::args().skip(1));
+    let host = args.raw("--host").unwrap_or("127.0.0.1");
+    let port: u16 = args.get_or("--port", 11311);
+    let workers: u16 = args.get_or("--workers", 4);
+    let cachelets: usize = args.get_or("--cachelets", 16);
+    let tenant: u16 = args.get_or("--tenant", 0);
+    let front_entries: usize = args.get_or("--front-cache", 0);
+    let instance_name = args.raw("--instance").unwrap_or("c3.large");
+    let pos = &args.positional;
     if pos.is_empty() {
-        usage();
+        args.usage_error("missing command");
     }
 
     // Worker w listens on port + w; the range must stay within u16.
     if port.checked_add(workers.saturating_sub(1)).is_none() {
-        eprintln!("mbal-cli: --port {port} with --workers {workers} runs past port 65535");
-        usage();
+        args.usage_error(&format!(
+            "--port {port} with --workers {workers} runs past port 65535"
+        ));
     }
 
     let mut ring = ConsistentRing::new();
@@ -239,7 +216,7 @@ fn main() {
                         match serde_json::from_slice::<MembershipView>(&payload) {
                             Ok(view) => {
                                 print_cluster_status(&view);
-                                print_cost_summary(&view, &mut client, workers, &instance_name);
+                                print_cost_summary(&view, &mut client, workers, instance_name);
                             }
                             Err(e) => {
                                 eprintln!("error: malformed view payload: {e}");
@@ -264,7 +241,7 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        _ => usage(),
+        _ => args.usage_error(&format!("bad command {pos:?}")),
     }
 }
 

@@ -52,90 +52,45 @@ use mbal_balancer::BalancerConfig;
 use mbal_core::clock::RealClock;
 use mbal_core::types::{ServerId, WorkerAddr};
 use mbal_ring::{ConsistentRing, MappingTable};
+use mbal_server::cli::Args;
 use mbal_server::tcp::serve_tcp_with;
 use mbal_server::{InProcRegistry, Server, ServerConfig};
 use mbal_tenant::TenantDirectory;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 const USAGE: &str = "usage: mbal-server [--workers N] [--port BASE] [--mem MB] [--cachelets N] \
 [--epoch-ms MS] [--metrics-port P] [--tenants SPEC] [--load-cap C] [--max-conns N] \
 [--idle-timeout-ms MS] [--membership on|off]";
 
-/// Every flag the server accepts; each takes one value.
-const FLAGS: [&str; 11] = [
-    "--workers",
-    "--port",
-    "--mem",
-    "--cachelets",
-    "--epoch-ms",
-    "--metrics-port",
-    "--tenants",
-    "--load-cap",
-    "--max-conns",
-    "--idle-timeout-ms",
-    "--membership",
-];
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("mbal-server: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
-/// Reads `--flag value` pairs, refusing an unknown flag or a flag
-/// without a value.
-fn parse_flags() -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(name) = args.next() {
-        if !FLAGS.contains(&name.as_str()) {
-            usage_error(&format!("unknown flag {name:?}"));
-        }
-        let Some(value) = args.next() else {
-            usage_error(&format!("{name} needs a value"));
-        };
-        flags.insert(name, value);
-    }
-    flags
-}
-
-/// The value of flag `name`, or `default` when it is absent; a value
-/// that does not parse is a usage error.
-fn arg<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str, default: T) -> T {
-    match flags.get(name) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| usage_error(&format!("bad {name} value {v:?}"))),
-    }
-}
-
 fn main() {
-    let flags = parse_flags();
-    let workers: u16 = arg(&flags, "--workers", 4);
-    let port: u16 = arg(&flags, "--port", 11311);
-    let mem_mb: usize = arg(&flags, "--mem", 512);
-    let cachelets: usize = arg(&flags, "--cachelets", 16);
-    let epoch_ms: u64 = arg(&flags, "--epoch-ms", 1_000);
-    let metrics_port: u16 = arg(&flags, "--metrics-port", 0);
-    let load_cap: f64 = arg(&flags, "--load-cap", 0.0);
-    if load_cap != 0.0 && load_cap <= 1.0 {
-        usage_error(&format!("--load-cap must be > 1 (got {load_cap})"));
+    let args = Args::parse("mbal-server", USAGE, std::env::args().skip(1));
+    if let Some(arg) = args.positional.first() {
+        args.usage_error(&format!("unexpected argument {arg:?}"));
     }
-    let tenants = match arg::<String>(&flags, "--tenants", String::new()).as_str() {
+    let workers: u16 = args.get_or("--workers", 4);
+    let port: u16 = args.get_or("--port", 11311);
+    let mem_mb: usize = args.get_or("--mem", 512);
+    let cachelets: usize = args.get_or("--cachelets", 16);
+    let epoch_ms: u64 = args.get_or("--epoch-ms", 1_000);
+    let metrics_port: u16 = args.get_or("--metrics-port", 0);
+    let load_cap: f64 = args.get_or("--load-cap", 0.0);
+    if load_cap != 0.0 && load_cap <= 1.0 {
+        args.usage_error(&format!("--load-cap must be > 1 (got {load_cap})"));
+    }
+    let tenants = match args.raw("--tenants").unwrap_or("") {
         "" => TenantDirectory::new(),
         spec => TenantDirectory::parse(spec)
-            .unwrap_or_else(|e| usage_error(&format!("bad --tenants spec: {e}"))),
+            .unwrap_or_else(|e| args.usage_error(&format!("bad --tenants spec: {e}"))),
     };
 
     // I/O flags layer over the MBAL_* environment defaults (already
     // folded into the builder's starting config).
-    let max_conns: usize = arg(&flags, "--max-conns", 0);
-    let idle_timeout_ms: i64 = arg(&flags, "--idle-timeout-ms", -1);
-    let membership = match arg::<String>(&flags, "--membership", "off".into()).as_str() {
+    let max_conns: usize = args.get_or("--max-conns", 0);
+    let idle_timeout_ms: i64 = args.get_or("--idle-timeout-ms", -1);
+    let membership = match args.raw("--membership").unwrap_or("off") {
         "on" => true,
         "off" => false,
-        s => usage_error(&format!("bad --membership {s:?} (expected on|off)")),
+        s => args.usage_error(&format!("bad --membership {s:?} (expected on|off)")),
     };
 
     let mut ring = ConsistentRing::new();

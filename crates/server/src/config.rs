@@ -15,8 +15,8 @@ pub struct IoConfig {
     /// cap are closed immediately (accept-and-close sheds load without
     /// letting the backlog grow unbounded).
     pub max_conns_per_worker: usize,
-    /// Reap connections idle longer than this (no reads, no pending
-    /// work). `None` disables reaping.
+    /// Reap connections idle longer than this (no reads, nothing left
+    /// to write). `None` disables reaping.
     pub idle_timeout: Option<Duration>,
     /// Read timeout on client-side cast-pump connections; a timed-out
     /// shadow counts a transport-timeout telemetry tick and drops the

@@ -1,49 +1,36 @@
 //! The TCP server: one nonblocking poll loop per worker multiplexing
 //! every connection on that worker's port.
 //!
-//! Each worker owns a single loop thread parked in `epoll_wait` over
-//! its listener, a waker pipe, and all of its connections, so the
-//! server's thread count is bounded by the worker count, not the
-//! connection count. Per-connection state is a `Conn`: a
-//! [`FrameDecoder`] reassembling pipelined request frames from
-//! arbitrary reads, and an outbound queue of reference-counted
-//! [`Bytes`] fragments flushed with vectored writes.
+//! The loop runs on the worker's own thread (paper §2.2): once
+//! [`crate::tcp::serve_tcp`] hands it over, the worker thread waits in
+//! `epoll_wait` over its listener, a waker pipe, and all of its
+//! connections instead of on its mailbox, so the server runs one thread
+//! per worker whatever the connection count. Per-connection state is a
+//! `Conn`: a [`FrameDecoder`] reassembling pipelined request frames from
+//! arbitrary reads, and an outbound queue of reference-counted [`Bytes`]
+//! fragments flushed with vectored writes.
 //!
-//! ## Serving a batch
+//! ## Serving
 //!
-//! Each decoded frame is one batch of requests. When the worker is idle
-//! (its [`WorkerCell`] unlocked, its mailbox empty, every request one
-//! that may run inline) and the connection has no batch in the mailbox,
-//! the loop serves the batch on its own thread with
-//! [`WorkerCell::try_serve_batch`] — run to completion, no thread
-//! handoff. Otherwise the batch is enqueued as one [`WorkerMsg::Rpc`]
-//! whose completion, run on the worker's thread, pushes the responses
-//! onto the loop's completion channel and rings the loop's waker pipe to
-//! pop it out of `epoll_wait`.
+//! Each decoded frame is one batch of requests, served to completion on
+//! the loop in read order (`WorkerCell::serve_batch`): the loop takes
+//! the cell lock, serves every message queued in the mailbox before the
+//! batch, then the batch itself. In-proc callers still serve an idle
+//! worker on their own threads and queue otherwise; a send to a parked
+//! loop rings the waker pipe, and the loop drains the mailbox between
+//! poll rounds. A `Shutdown` message ends the loop: its connections
+//! close, and its listener and poller are dropped.
 //!
 //! ## Zero-copy response path
 //!
-//! Responses, inline or completed, are encoded with
-//! [`codec::encode_response_frags`], which keeps each value payload as a
-//! refcount-bumped [`Bytes`] clone of the engine's own buffer — header
-//! and metadata are owned fragments, values are borrowed ones — and the
-//! flush hands every fragment to `writev` via [`IoSlice`]. Inline
-//! responses wait for the flush that follows the read, so the answers
-//! to every frame of one read leave together, up to 64 fragments per
-//! `writev`. A cached value is therefore never memcpy'd between the
-//! engine's return and the kernel.
-//!
-//! ## Ordering
-//!
-//! Responses must leave a connection in request order. Two rules give
-//! that with no sequencing machinery. The mailbox is FIFO: each loop
-//! serves exactly one worker, so batch *k+1* is enqueued after batch
-//! *k*, completes after it, and its completion is drained after it. And
-//! nothing is served inline while the connection has a batch in the
-//! mailbox (`pending > 0`): completions are drained only after a
-//! round's events, so a later frame can be read while an earlier
-//! batch's responses are still undrained, and serving it inline would
-//! answer it first.
+//! Responses are encoded with [`codec::encode_response_frags`], which
+//! keeps each value payload as a refcount-bumped [`Bytes`] clone of the
+//! engine's own buffer — header and metadata are owned fragments,
+//! values are borrowed ones — and the flush hands every fragment to
+//! `writev` via [`IoSlice`]. Responses wait for the flush that follows
+//! the read, so the answers to every frame of one read leave together,
+//! up to 64 fragments per `writev`. A cached value is therefore never
+//! memcpy'd between the engine's return and the kernel.
 //!
 //! ## Half-close
 //!
@@ -52,10 +39,8 @@
 //! closes once its answers are flushed.
 
 use crate::config::IoConfig;
-use crate::messages::WorkerMsg;
 use crate::worker::WorkerCell;
 use bytes::Bytes;
-use crossbeam_channel::Sender;
 use mbal_netpoll::{Interest, PollEvent, Poller};
 use mbal_proto::codec::{self, opcode_of, Opcode};
 use mbal_proto::{FrameDecoder, Request, Response, Status};
@@ -64,7 +49,6 @@ use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Poll token of the worker's listener.
@@ -79,40 +63,28 @@ const READ_BUF: usize = 64 * 1024;
 /// 1024; staying well under keeps the syscall cheap).
 const MAX_IOVECS: usize = 64;
 
-/// Correlates a completed batch back to the connection (and wire frames)
-/// it came from, so the loop needs no in-flight bookkeeping beyond a
-/// per-connection count.
-struct RpcTag {
-    /// Event-loop token of the originating connection.
-    conn: u64,
-    /// `(request opcode, wire opaque)` per request, in order: exactly
-    /// what response encoding needs.
-    meta: Vec<(Opcode, u32)>,
-}
-
 /// Wakes an event loop parked in `epoll_wait`.
 ///
-/// The worker thread holds the write end of a socketpair; the loop
-/// polls the read end. A one-byte write after publishing a completion
-/// makes the loop's next `wait` return immediately. Both ends are
-/// nonblocking: if the pipe buffer is full, enough wake bytes are
-/// already pending that the loop is guaranteed to wake without this
-/// one.
+/// The worker's mailbox holds the write end of a socketpair; the loop
+/// polls the read end. A one-byte write after a send to the parked
+/// loop makes its `wait` return immediately. Both ends are nonblocking:
+/// if the pipe buffer is full, enough wake bytes are already queued
+/// that the loop is guaranteed to wake without this one.
 struct LoopWaker {
     tx: UnixStream,
 }
 
 impl LoopWaker {
     /// Creates a waker and the read end the loop should poll.
-    fn pair() -> std::io::Result<(Arc<LoopWaker>, UnixStream)> {
+    fn pair() -> std::io::Result<(LoopWaker, UnixStream)> {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
-        Ok((Arc::new(LoopWaker { tx }), rx))
+        Ok((LoopWaker { tx }, rx))
     }
 
     /// Rings the loop. Never blocks; a full pipe already guarantees a
-    /// pending wakeup.
+    /// wakeup to come.
     fn wake(&self) {
         let _ = (&self.tx).write(&[1u8]);
     }
@@ -128,10 +100,6 @@ struct Conn {
     out: VecDeque<Bytes>,
     /// Bytes of `out[0]` already written.
     out_head: usize,
-    /// Tagged batches sent to the worker's mailbox and not yet drained
-    /// from the completion channel. Nothing is served inline while
-    /// this is non-zero (see "Ordering").
-    pending: usize,
     /// Last moment bytes arrived or left; drives idle reaping.
     last_active: Instant,
     /// Flush what remains, then close (EOF or protocol error).
@@ -147,35 +115,31 @@ impl Conn {
             dec: FrameDecoder::new(),
             out: VecDeque::new(),
             out_head: 0,
-            pending: 0,
             last_active: now,
             closing: false,
             wants_write: false,
         }
     }
-
-    /// True once nothing is buffered, in flight, or expected.
-    fn drained(&self) -> bool {
-        self.out.is_empty() && self.pending == 0
-    }
 }
 
-/// What to do with a connection after handling an event.
+/// What to do after handling an event.
 #[derive(PartialEq)]
 enum Verdict {
     Keep,
+    /// Close this connection.
     Drop,
+    /// The worker has shut down: close everything.
+    Stop,
 }
 
 /// One worker's event loop. [`EventLoop::new`] does every fallible step
 /// on the caller's thread, so [`crate::tcp::serve_tcp`] can build all
-/// loops before it starts any.
+/// loops before it hands any to its worker.
 pub(crate) struct EventLoop {
     listener: TcpListener,
     poller: Poller,
-    waker: Arc<LoopWaker>,
+    waker: LoopWaker,
     waker_rx: UnixStream,
-    worker: Arc<WorkerCell>,
     cfg: IoConfig,
 }
 
@@ -183,11 +147,7 @@ impl EventLoop {
     /// Builds the loop for `listener`: poller, nonblocking listener,
     /// waker pair, registrations. Fails with [`ErrorKind::Unsupported`]
     /// on platforms without epoll.
-    pub(crate) fn new(
-        listener: TcpListener,
-        worker: Arc<WorkerCell>,
-        cfg: IoConfig,
-    ) -> std::io::Result<EventLoop> {
+    pub(crate) fn new(listener: TcpListener, cfg: IoConfig) -> std::io::Result<EventLoop> {
         let poller = Poller::new()?;
         listener.set_nonblocking(true)?;
         let (waker, waker_rx) = LoopWaker::pair()?;
@@ -198,14 +158,17 @@ impl EventLoop {
             poller,
             waker,
             waker_rx,
-            worker,
             cfg,
         })
     }
 
-    /// Serves the worker's port until the process exits.
-    pub(crate) fn run(self) -> ! {
-        let (done_tx, done_rx) = crossbeam_channel::unbounded::<(RpcTag, Vec<Response>)>();
+    /// Serves the worker's port and mailbox on the worker's thread
+    /// until a `Shutdown` message stops the worker. Returning drops
+    /// every connection, the listener and the poller.
+    pub(crate) fn run(self, cell: &WorkerCell) {
+        let mailbox = cell.mailbox();
+        let waker = self.waker;
+        mailbox.set_waker(move || waker.wake());
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut next_token = FIRST_CONN;
         let mut events: Vec<PollEvent> = Vec::new();
@@ -219,9 +182,16 @@ impl EventLoop {
             .unwrap_or(1000);
 
         loop {
+            // Serve what was queued while the loop was busy. Parking
+            // fails when mail is already queued; then only poll.
+            if !mailbox.is_empty() && !cell.drain() {
+                return;
+            }
+            let timeout = if mailbox.park() { wait_ms } else { 0 };
             events.clear();
             // EINTR comes back as an empty wait; nothing else can fail.
-            self.poller.wait(&mut events, wait_ms).expect("epoll_wait");
+            self.poller.wait(&mut events, timeout).expect("epoll_wait");
+            mailbox.unpark();
             let now = Instant::now();
 
             for ev in &events {
@@ -245,18 +215,8 @@ impl EventLoop {
                             Verdict::Keep
                         };
                         if verdict == Verdict::Keep && ev.readable {
-                            verdict = on_readable(
-                                conn,
-                                token,
-                                &mut read_buf,
-                                &self.worker,
-                                &done_tx,
-                                &self.waker,
-                                now,
-                            );
-                            // Inline responses and protocol-error frames
-                            // queued during the read have no completion
-                            // coming to flush them: push them out now.
+                            verdict = on_readable(conn, &mut read_buf, cell, now);
+                            // Push out the answers to this read now.
                             if verdict == Verdict::Keep && !conn.out.is_empty() && !conn.wants_write
                             {
                                 verdict = flush(conn, &self.poller, token, now);
@@ -265,22 +225,12 @@ impl EventLoop {
                         if verdict == Verdict::Keep && ev.writable {
                             verdict = flush(conn, &self.poller, token, now);
                         }
-                        if verdict == Verdict::Drop {
-                            drop_conn(&self.poller, &mut conns, token);
+                        match verdict {
+                            Verdict::Keep => {}
+                            Verdict::Drop => drop_conn(&self.poller, &mut conns, token),
+                            Verdict::Stop => return,
                         }
                     }
-                }
-            }
-
-            // Completions can land whether or not the waker event was seen
-            // this round; always drain.
-            while let Ok((tag, resps)) = done_rx.try_recv() {
-                let token = tag.conn;
-                let Some(conn) = conns.get_mut(&token) else {
-                    continue; // connection died while the batch was in flight
-                };
-                if on_complete(conn, &self.poller, token, tag, resps, now) == Verdict::Drop {
-                    drop_conn(&self.poller, &mut conns, token);
                 }
             }
 
@@ -328,24 +278,16 @@ fn accept_ready(
     }
 }
 
-/// Swallows pending wake bytes so the pipe stays shallow.
+/// Swallows queued wake bytes so the pipe stays shallow.
 fn drain_waker(rx: &UnixStream) {
     let mut buf = [0u8; 256];
     while matches!((&*rx).read(&mut buf), Ok(n) if n > 0) {}
 }
 
 /// Reads everything the socket has into `buf`, reassembles frames, and
-/// serves or enqueues each decoded batch. Frames read before an EOF
-/// are still served; the connection closes once they are answered.
-fn on_readable(
-    conn: &mut Conn,
-    token: u64,
-    buf: &mut [u8],
-    worker: &WorkerCell,
-    done_tx: &Sender<(RpcTag, Vec<Response>)>,
-    waker: &Arc<LoopWaker>,
-    now: Instant,
-) -> Verdict {
+/// serves each decoded batch. Frames read before an EOF are still
+/// served; the connection closes once they are answered.
+fn on_readable(conn: &mut Conn, buf: &mut [u8], cell: &WorkerCell, now: Instant) -> Verdict {
     let mut eof = false;
     loop {
         match conn.stream.read(buf) {
@@ -365,8 +307,9 @@ fn on_readable(
     while !conn.closing {
         match conn.dec.next_frame() {
             Ok(Some(frame)) => {
-                if dispatch(conn, token, &frame, worker, done_tx, waker) == Verdict::Drop {
-                    return Verdict::Drop;
+                let verdict = dispatch(conn, &frame, cell);
+                if verdict != Verdict::Keep {
+                    return verdict;
                 }
             }
             Ok(None) => break,
@@ -382,24 +325,16 @@ fn on_readable(
         // Peer finished sending. Answer what was read, then close;
         // nothing left to answer means close now.
         conn.closing = true;
-        if conn.drained() {
+        if conn.out.is_empty() {
             return Verdict::Drop;
         }
     }
     Verdict::Keep
 }
 
-/// Decodes one frame and serves it inline if the worker is idle and the
-/// connection has nothing in the mailbox, else enqueues it as a tagged
-/// batch. Decode errors answer a protocol error and start closing.
-fn dispatch(
-    conn: &mut Conn,
-    token: u64,
-    frame: &[u8],
-    worker: &WorkerCell,
-    done_tx: &Sender<(RpcTag, Vec<Response>)>,
-    waker: &Arc<LoopWaker>,
-) -> Verdict {
+/// Decodes one frame, serves it on the worker and queues the answers.
+/// Decode errors answer a protocol error and start closing.
+fn dispatch(conn: &mut Conn, frame: &[u8], cell: &WorkerCell) -> Verdict {
     let (reqs, meta): (Vec<Request>, Vec<_>) = if codec::is_batch(frame) {
         match codec::decode_batch_request(frame) {
             Ok(subs) => subs
@@ -428,30 +363,10 @@ fn dispatch(
             }
         }
     };
-    // An earlier batch still in the mailbox must answer first.
-    let reqs = if conn.pending == 0 {
-        match worker.try_serve_batch(reqs) {
-            Ok(resps) => return queue_responses(conn, &resps, meta),
-            Err(reqs) => reqs,
-        }
-    } else {
-        reqs
-    };
-    let tag = RpcTag { conn: token, meta };
-    let (done_tx, waker) = (done_tx.clone(), Arc::clone(waker));
-    let done = Box::new(move |resps| {
-        let _ = done_tx.send((tag, resps));
-        waker.wake();
-    });
-    if worker
-        .mailbox()
-        .send(WorkerMsg::Rpc { reqs, done })
-        .is_err()
-    {
-        return Verdict::Drop; // worker is gone; nothing to serve
+    match cell.serve_batch(reqs) {
+        Some(resps) => queue_responses(conn, &resps, meta),
+        None => Verdict::Stop,
     }
-    conn.pending += 1;
-    Verdict::Keep
 }
 
 /// Encodes a batch's responses onto the connection's outbound queue.
@@ -465,22 +380,6 @@ fn queue_responses(conn: &mut Conn, resps: &[Response], meta: Vec<(Opcode, u32)>
         }
     }
     Verdict::Keep
-}
-
-/// Queues a completed batch's responses and flushes.
-fn on_complete(
-    conn: &mut Conn,
-    poller: &Poller,
-    token: u64,
-    tag: RpcTag,
-    resps: Vec<Response>,
-    now: Instant,
-) -> Verdict {
-    conn.pending = conn.pending.saturating_sub(1);
-    if queue_responses(conn, &resps, tag.meta) == Verdict::Drop {
-        return Verdict::Drop;
-    }
-    flush(conn, poller, token, now)
 }
 
 /// Writes as much of the outbound queue as the socket accepts, handing
@@ -516,7 +415,7 @@ fn flush(conn: &mut Conn, poller: &Poller, token: u64, now: Instant) -> Verdict 
             Err(_) => return Verdict::Drop,
         }
     }
-    if conn.closing && conn.drained() {
+    if conn.closing && conn.out.is_empty() {
         return Verdict::Drop;
     }
     let wants = !conn.out.is_empty();
@@ -555,12 +454,12 @@ fn drop_conn(poller: &Poller, conns: &mut HashMap<u64, Conn>, token: u64) {
     }
 }
 
-/// Closes connections with no traffic and no pending work for longer
-/// than the idle timeout.
+/// Closes connections with no traffic and nothing left to write for
+/// longer than the idle timeout.
 fn reap_idle(poller: &Poller, conns: &mut HashMap<u64, Conn>, idle: Duration, now: Instant) {
     let dead: Vec<u64> = conns
         .iter()
-        .filter(|(_, c)| c.drained() && now.duration_since(c.last_active) >= idle)
+        .filter(|(_, c)| c.out.is_empty() && now.duration_since(c.last_active) >= idle)
         .map(|(t, _)| *t)
         .collect();
     for token in dead {

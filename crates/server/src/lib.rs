@@ -17,7 +17,7 @@
 //!   cachelets, the shadow-side replica table, hot-key sampling, and
 //!   the Write-Invalidate rules for in-flight migrations; the
 //!   [`worker::WorkerCell`] that lets an idle worker serve an in-proc
-//!   call on the caller's thread, and a TCP batch on its event loop.
+//!   call on the caller's thread.
 //! - [`transport`] — the [`transport::Transport`] abstraction — unary,
 //!   batched ([`transport::Transport::call_many`]) and deadline-aware —
 //!   with the in-process registry implementation used by tests,
@@ -26,8 +26,8 @@
 //!   frames encoded by `mbal-proto`, pooled connections, pipelined
 //!   batch envelopes (one flush per batch) and bounded connect retry.
 //! - [`event_loop`] — the TCP server: one nonblocking epoll loop per
-//!   worker multiplexing every connection, serving batches to
-//!   completion on an idle worker, with zero-copy
+//!   worker, run on the worker's own thread, multiplexing every
+//!   connection and serving each batch to completion, with zero-copy
 //!   [`bytes::Bytes`] response fragments flushed via vectored writes.
 //! - [`server`] — [`server::Server`]: spawns workers, runs the balance
 //!   epoch loop, executes Phase 1/2/3 actions, and performs coordinated
@@ -38,10 +38,12 @@
 //!   [`fault::FaultPlan`].
 //! - [`metrics_http`] — the optional plaintext (Prometheus text format)
 //!   metrics exposition endpoint.
+//! - [`cli`] — command-line parsing shared by the workspace's binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod config;
 pub mod event_loop;
 pub mod fault;

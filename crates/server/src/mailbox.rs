@@ -7,6 +7,10 @@
 //! knows that every message queued before it has already been served
 //! (DESIGN §2.1).
 //!
+//! A consumer that waits elsewhere (a worker thread in `epoll_wait`)
+//! sets a waker and brackets its wait with [`Mailbox::park`] and
+//! [`Mailbox::unpark`]; a send to it then calls the waker instead.
+//!
 //! Closing a mailbox refuses further sends and drops whatever is still
 //! queued, so a caller waiting on a reply channel carried by a dropped
 //! message sees the channel disconnect instead of waiting out its
@@ -20,9 +24,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 struct State<T> {
     queue: VecDeque<T>,
     closed: bool,
-    /// The consumer is parked in [`Mailbox::wait`] or [`Mailbox::recv`];
-    /// senders skip the wake-up syscall otherwise.
+    /// The consumer is parked in [`Mailbox::wait`] or between
+    /// [`Mailbox::park`] and [`Mailbox::unpark`]; senders skip the
+    /// wake-up syscall otherwise.
     parked: bool,
+    /// Wakes a consumer that waits outside the condvar.
+    waker: Option<Box<dyn Fn() + Send>>,
 }
 
 struct Inner<T> {
@@ -71,6 +78,7 @@ impl<T> Mailbox<T> {
                 queue: VecDeque::new(),
                 closed: false,
                 parked: false,
+                waker: None,
             }),
             ready: Condvar::new(),
             len: AtomicUsize::new(0),
@@ -87,7 +95,10 @@ impl<T> Mailbox<T> {
         self.0.len.store(s.queue.len(), Ordering::Release);
         if s.parked {
             s.parked = false;
-            self.0.ready.notify_one();
+            match &s.waker {
+                Some(wake) => wake(),
+                None => self.0.ready.notify_one(),
+            }
         }
         Ok(())
     }
@@ -121,24 +132,28 @@ impl<T> Mailbox<T> {
             if !s.queue.is_empty() {
                 return true;
             }
-            s = self.park(s);
+            s = self.sleep(s);
         }
     }
 
-    /// Blocks until a message is queued and takes it; `None` once the
+    /// Routes wake-ups to `wake` instead of the condvar, for a consumer
+    /// that waits with [`Mailbox::park`] rather than [`Mailbox::wait`].
+    pub fn set_waker(&self, wake: impl Fn() + Send + 'static) {
+        self.lock().waker = Some(Box::new(wake));
+    }
+
+    /// Marks the consumer parked, so the next send calls the waker;
+    /// `false`, and not parked, when a message is already queued or the
     /// mailbox is closed.
-    pub fn recv(&self) -> Option<T> {
+    pub fn park(&self) -> bool {
         let mut s = self.lock();
-        loop {
-            if s.closed {
-                return None;
-            }
-            if let Some(msg) = s.queue.pop_front() {
-                self.0.len.store(s.queue.len(), Ordering::Release);
-                return Some(msg);
-            }
-            s = self.park(s);
-        }
+        s.parked = s.queue.is_empty() && !s.closed;
+        s.parked
+    }
+
+    /// Marks the consumer awake again: sends stop calling the waker.
+    pub fn unpark(&self) {
+        self.lock().parked = false;
     }
 
     /// The state lock. A panicking holder cannot leave the queue
@@ -147,19 +162,20 @@ impl<T> Mailbox<T> {
         self.0.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn park<'a>(&self, mut s: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
+    fn sleep<'a>(&self, mut s: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
         s.parked = true;
         self.0.ready.wait(s).unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Refuses every later send and drops the queued messages.
+    /// Refuses every later send and drops the queued messages and the
+    /// waker.
     pub fn close(&self) {
         let dropped = {
             let mut s = self.lock();
             s.closed = true;
             self.0.len.store(0, Ordering::Release);
             self.0.ready.notify_all();
-            std::mem::take(&mut s.queue)
+            (std::mem::take(&mut s.queue), s.waker.take())
         };
         drop(dropped);
     }
@@ -178,7 +194,8 @@ mod tests {
         }
         assert_eq!(m.len(), 3);
         assert_eq!(m.try_recv(), Some(0));
-        assert_eq!(m.recv(), Some(1));
+        assert!(m.wait());
+        assert_eq!(m.try_recv(), Some(1));
         assert_eq!(m.try_recv(), Some(2));
         assert!(m.is_empty());
         assert_eq!(m.try_recv(), None);
@@ -199,6 +216,33 @@ mod tests {
     }
 
     #[test]
+    fn a_send_rings_the_waker_only_while_the_consumer_is_parked() {
+        let m = Mailbox::new();
+        let rings = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&rings);
+        m.set_waker(move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
+        m.send(1u32).expect("open");
+        assert_eq!(rings.load(Ordering::Relaxed), 0, "awake consumer");
+        assert!(!m.park(), "a queued message keeps the consumer awake");
+        assert_eq!(m.try_recv(), Some(1));
+        assert!(m.park());
+        m.send(2).expect("open");
+        m.send(3).expect("open");
+        assert_eq!(rings.load(Ordering::Relaxed), 1, "one ring per park");
+        assert_eq!(m.try_recv(), Some(2));
+        assert_eq!(m.try_recv(), Some(3));
+        assert!(m.park());
+        m.unpark();
+        m.send(4).expect("open");
+        assert_eq!(rings.load(Ordering::Relaxed), 1, "unparked again");
+        m.close();
+        assert!(m.send(5).is_err());
+        assert_eq!(rings.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
     fn close_refuses_sends_drops_the_queue_and_wakes_the_consumer() {
         let m: Mailbox<std::sync::mpsc::Sender<()>> = Mailbox::new();
         let (tx, rx) = std::sync::mpsc::channel();
@@ -206,7 +250,7 @@ mod tests {
         let consumer = m.clone();
         let h = std::thread::spawn(move || {
             // Drain the one message, then park until the close.
-            let _ = consumer.recv();
+            let _ = consumer.try_recv();
             consumer.wait()
         });
         std::thread::sleep(Duration::from_millis(20));
@@ -220,6 +264,6 @@ mod tests {
         assert!(rx.recv().is_err(), "the taken message's sender is gone");
         assert!(rx2.recv().is_err(), "a dropped message's sender is gone");
         assert!(!m.wait());
-        assert_eq!(m.recv().map(|_| ()), None);
+        assert!(m.try_recv().is_none());
     }
 }

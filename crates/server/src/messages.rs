@@ -19,7 +19,7 @@ pub type MigrationBatch = Vec<(Vec<u8>, Value, u64)>;
 
 /// Receives an RPC's responses, one per request and in order, on the
 /// worker's thread. It decides where they go: a caller waiting on a
-/// channel, the TCP event loop's completion queue, or nowhere (a cast).
+/// channel, or nowhere (a cast).
 pub type Completion = Box<dyn FnOnce(Vec<Response>) + Send>;
 
 /// Everything a worker can receive.

@@ -208,8 +208,8 @@ impl Server {
 
     /// Worker cells (each holding the worker's mailbox) paired with
     /// their addresses, for wiring a TCP front end via
-    /// [`crate::tcp::serve_tcp`]: each worker's event loop serves
-    /// batches inline on an idle worker and queues the rest.
+    /// [`crate::tcp::serve_tcp`]: each worker's own thread then serves
+    /// its port until [`Server::shutdown`].
     pub fn worker_mailboxes(&self) -> Vec<(WorkerAddr, Arc<WorkerCell>)> {
         self.worker_addrs()
             .into_iter()

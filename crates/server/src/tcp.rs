@@ -3,8 +3,8 @@
 //! "We associate a TCP/UDP port with each cache server worker thread so
 //! that clients can directly interact with workers without any
 //! centralized component." [`serve_tcp`] gives each worker its own
-//! listener, served by one nonblocking poll loop that multiplexes every
-//! connection on that port (see [`crate::event_loop`]).
+//! listener, served on the worker's own thread by one poll loop over
+//! every connection on that port (see [`crate::event_loop`]).
 //! [`TcpTransport`] is the client side: pooled connections, per-call
 //! deadlines and a cast pump.
 //!
@@ -84,15 +84,11 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
 /// Binds one listener per worker on consecutive ports starting at
 /// `base_port` (0 picks ephemeral ports) and returns the bound
 /// addresses, serving with the default I/O configuration
-/// (environment-overridable). Serving threads run until the process
-/// exits.
+/// (environment-overridable).
 ///
-/// Each worker's event loop serves a decoded batch on its own thread
-/// when the worker's cell is idle (the rule of
-/// [`WorkerCell::try_serve_batch`]) and the connection has no batch in
-/// the mailbox, and enqueues it otherwise. A cell made with
-/// [`WorkerCell::detached`] never serves inline, so every batch reaches
-/// its mailbox.
+/// Each worker's own thread serves its port, in place of its mailbox
+/// wait; no thread is spawned. Serving ends at [`crate::Server::shutdown`],
+/// which closes the listener and every connection.
 pub fn serve_tcp(
     workers: &[(WorkerAddr, Arc<WorkerCell>)],
     host: &str,
@@ -105,16 +101,22 @@ pub fn serve_tcp(
 /// idle-connection reaping.
 ///
 /// All or nothing: every listener is bound and every worker's event
-/// loop built on the caller's thread before any loop thread starts, so
-/// on error nothing is left listening. A port range past 65535 fails
-/// with [`ErrorKind::InvalidInput`] before anything is bound; a host
-/// without epoll fails with [`ErrorKind::Unsupported`].
+/// loop built on the caller's thread before any loop is handed to its
+/// worker, so on error nothing is left listening. A cell without a
+/// live worker thread ([`WorkerCell::detached`], a stopped worker) and a
+/// port range past 65535 fail with [`ErrorKind::InvalidInput`] before
+/// anything is bound; a host without epoll fails with
+/// [`ErrorKind::Unsupported`].
 pub fn serve_tcp_with(
     workers: &[(WorkerAddr, Arc<WorkerCell>)],
     host: &str,
     base_port: u16,
     io: IoConfig,
 ) -> std::io::Result<Vec<(WorkerAddr, SocketAddr)>> {
+    if let Some((addr, _)) = workers.iter().find(|(_, cell)| !cell.is_live()) {
+        let msg = format!("worker {addr} has no live worker thread to serve TCP");
+        return Err(std::io::Error::new(ErrorKind::InvalidInput, msg));
+    }
     let last = u16::try_from(workers.len().saturating_sub(1)).unwrap_or(u16::MAX);
     if base_port != 0 && base_port.checked_add(last).is_none() {
         let msg = format!(
@@ -129,7 +131,7 @@ pub fn serve_tcp_with(
     mbal_netpoll::raise_nofile_limit(want).ok();
     let mut bound = Vec::with_capacity(workers.len());
     let mut loops = Vec::with_capacity(workers.len());
-    for (i, (addr, cell)) in workers.iter().enumerate() {
+    for (i, (addr, _)) in workers.iter().enumerate() {
         // Base port 0 gives every worker an ephemeral port.
         let port = if base_port == 0 {
             0
@@ -138,13 +140,10 @@ pub fn serve_tcp_with(
         };
         let listener = TcpListener::bind((host, port))?;
         bound.push((*addr, listener.local_addr()?));
-        loops.push(EventLoop::new(listener, Arc::clone(cell), io.clone())?);
+        loops.push(EventLoop::new(listener, io.clone())?);
     }
-    for ((addr, _), event_loop) in bound.iter().zip(loops) {
-        std::thread::Builder::new()
-            .name(format!("mbal-tcp-{addr}"))
-            .spawn(move || event_loop.run())
-            .expect("spawn event-loop thread");
+    for ((_, cell), event_loop) in workers.iter().zip(loops) {
+        cell.hand_loop(event_loop);
     }
     Ok(bound)
 }
@@ -544,55 +543,45 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use crate::mailbox::Mailbox;
-    use crate::messages::WorkerMsg;
+    use crate::server::Server;
     use mbal_core::types::CacheletId;
     use mbal_proto::codec::opcode_of;
-    use mbal_proto::Status;
 
-    /// A loopback worker that stores into a HashMap (protocol-level test
-    /// without the full server). Handles both single RPCs and batches;
-    /// its cell is detached, so every batch goes through the mailbox.
-    fn spawn_map_worker() -> Arc<WorkerCell> {
-        use mbal_core::types::Value;
-        let tx = Mailbox::new();
-        let rx = tx.clone();
-        std::thread::spawn(move || {
-            let mut map: HashMap<Vec<u8>, Value> = HashMap::new();
-            let answer = |req: Request, map: &mut HashMap<Vec<u8>, Value>| match req {
-                Request::Get { key, .. } => match map.get(&key) {
-                    Some(v) => Response::Value {
-                        value: v.clone(),
-                        replicas: vec![],
-                    },
-                    None => Response::NotFound,
-                },
-                Request::Set { key, value, .. } => {
-                    map.insert(key, value);
-                    Response::Stored
-                }
-                Request::Delete { key, .. } => {
-                    map.remove(&key);
-                    Response::Deleted
-                }
-                _ => Response::Fail {
-                    status: Status::Error,
-                    message: "unsupported".into(),
-                },
-            };
-            while let Some(msg) = rx.recv() {
-                if let WorkerMsg::Rpc { reqs, done } = msg {
-                    done(reqs.into_iter().map(|r| answer(r, &mut map)).collect());
-                }
-            }
-        });
-        WorkerCell::detached(tx)
+    /// A server of `workers` workers, two cachelets each; worker 0
+    /// owns cachelets 0 and 1 when it is the only one.
+    fn spawn_server(workers: u16) -> Server {
+        use crate::config::ServerConfig;
+        use crate::transport::InProcRegistry;
+        use mbal_balancer::coordinator::Coordinator;
+        use mbal_balancer::BalancerConfig;
+        use mbal_core::clock::RealClock;
+        use mbal_core::types::ServerId;
+        use mbal_ring::{ConsistentRing, MappingTable};
+
+        let mut ring = ConsistentRing::new();
+        for w in 0..workers {
+            ring.add_worker(WorkerAddr::new(0, w));
+        }
+        let mapping = MappingTable::build(&ring, 2, 16);
+        Server::spawn(
+            ServerConfig::new(ServerId(0), workers, 4 << 20).cachelets_per_worker(2),
+            &mapping,
+            &InProcRegistry::new(),
+            Arc::new(Coordinator::new(mapping.clone(), BalancerConfig::default())),
+            Arc::new(RealClock::new()),
+        )
+    }
+
+    /// A one-worker server, served over TCP on an ephemeral port.
+    fn serve_one_worker() -> (Server, WorkerAddr, Vec<(WorkerAddr, SocketAddr)>) {
+        let server = spawn_server(1);
+        let bound = serve_tcp(&server.worker_mailboxes(), "127.0.0.1", 0).expect("bind");
+        (server, WorkerAddr::new(0, 0), bound)
     }
 
     #[test]
     fn tcp_roundtrip_set_get_delete() {
-        let worker = WorkerAddr::new(0, 0);
-        let cell = spawn_map_worker();
-        let bound = serve_tcp(&[(worker, cell)], "127.0.0.1", 0).expect("bind");
+        let (mut server, worker, bound) = serve_one_worker();
         let transport = TcpTransport::new(bound.into_iter().collect());
 
         let set = transport
@@ -645,6 +634,7 @@ mod tests {
             )
             .expect("miss over tcp");
         assert_eq!(miss, Response::NotFound);
+        server.shutdown();
     }
 
     #[test]
@@ -658,9 +648,7 @@ mod tests {
 
     #[test]
     fn connections_are_reused() {
-        let worker = WorkerAddr::new(0, 0);
-        let cell = spawn_map_worker();
-        let bound = serve_tcp(&[(worker, cell)], "127.0.0.1", 0).expect("bind");
+        let (mut server, worker, bound) = serve_one_worker();
         let transport = TcpTransport::new(bound.into_iter().collect());
         for i in 0..50u32 {
             let r = transport
@@ -678,13 +666,12 @@ mod tests {
         }
         // Exactly one pooled connection after serial calls.
         assert_eq!(transport.pool.lock().get(&worker).map_or(0, |v| v.len()), 1);
+        server.shutdown();
     }
 
     #[test]
     fn batch_roundtrips_over_tcp() {
-        let worker = WorkerAddr::new(0, 0);
-        let cell = spawn_map_worker();
-        let bound = serve_tcp(&[(worker, cell)], "127.0.0.1", 0).expect("bind");
+        let (mut server, worker, bound) = serve_one_worker();
         let transport = TcpTransport::new(bound.into_iter().collect());
 
         let mut reqs: Vec<Request> = (0..8)
@@ -715,13 +702,12 @@ mod tests {
         }
         // The whole batch reused (and returned) a single pooled stream.
         assert_eq!(transport.pool.lock().get(&worker).map_or(0, |v| v.len()), 1);
+        server.shutdown();
     }
 
     #[test]
     fn malformed_frame_errors_and_closes_but_worker_survives() {
-        let worker = WorkerAddr::new(0, 0);
-        let cell = spawn_map_worker();
-        let bound = serve_tcp(&[(worker, cell)], "127.0.0.1", 0).expect("bind");
+        let (mut server, worker, bound) = serve_one_worker();
         let sock = bound[0].1;
 
         // Bad magic: the server answers with a protocol error, then
@@ -756,6 +742,7 @@ mod tests {
             ),
             Ok(Response::NotFound)
         );
+        server.shutdown();
     }
 
     #[test]
@@ -819,18 +806,24 @@ mod tests {
 
     #[test]
     fn a_port_range_past_65535_is_refused_before_binding() {
-        let workers: Vec<_> = (0..2)
-            .map(|w| (WorkerAddr::new(0, w), WorkerCell::detached(Mailbox::new())))
-            .collect();
-        let err = serve_tcp(&workers, "127.0.0.1", u16::MAX).expect_err("range overflows u16");
+        let mut server = spawn_server(2);
+        let err = serve_tcp(&server.worker_mailboxes(), "127.0.0.1", u16::MAX)
+            .expect_err("range overflows u16");
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_cell_without_a_worker_thread_is_refused_before_binding() {
+        let workers = [(WorkerAddr::new(0, 0), WorkerCell::detached(Mailbox::new()))];
+        let err = serve_tcp(&workers, "127.0.0.1", 0).expect_err("no worker thread");
         assert_eq!(err.kind(), ErrorKind::InvalidInput);
     }
 
     #[test]
     fn a_failed_bind_leaves_no_worker_listening() {
-        let workers: Vec<_> = (0..2)
-            .map(|w| (WorkerAddr::new(0, w), WorkerCell::detached(Mailbox::new())))
-            .collect();
+        let mut server = spawn_server(2);
+        let workers = server.worker_mailboxes();
         // Find two consecutive free ports P and P+1, then hold P+1.
         let (base, _blocker) = (0..64)
             .find_map(|_| {
@@ -843,5 +836,8 @@ mod tests {
         assert!(serve_tcp(&workers, "127.0.0.1", base).is_err());
         // Worker 0's listener must have closed with the failed call.
         TcpListener::bind(("127.0.0.1", base)).expect("base port is free again");
+        // And no worker was handed a loop: both can still be served.
+        serve_tcp(&workers, "127.0.0.1", 0).expect("serve after a failed call");
+        server.shutdown();
     }
 }

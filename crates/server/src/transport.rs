@@ -253,7 +253,8 @@ mod tests {
     fn spawn_echo(reg: &InProcRegistry, addr: WorkerAddr) -> std::thread::JoinHandle<()> {
         let rx = register_mailbox(reg, addr);
         std::thread::spawn(move || {
-            if let Some(WorkerMsg::Rpc { reqs, done }) = rx.recv() {
+            if let Some(WorkerMsg::Rpc { reqs, done }) = rx.wait().then(|| rx.try_recv()).flatten()
+            {
                 let resps = reqs
                     .into_iter()
                     .map(|req| match req {

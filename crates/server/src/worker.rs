@@ -23,6 +23,7 @@
 //! mailbox order: [`WorkerCell::ask`] waits for a step's result,
 //! [`WorkerCell::tell`] does not.
 
+use crate::event_loop::EventLoop;
 use crate::mailbox::Mailbox;
 use crate::messages::{Completion, EpochReport, MigrationBatch, WorkerMsg};
 use crate::transport::Transport;
@@ -106,6 +107,9 @@ pub struct Worker {
     /// Per-tenant miss-ratio-curve estimators feeding the arbiter's
     /// marginal-utility signal (tenant mode only).
     mrcs: HashMap<u16, MrcEstimator>,
+    /// A TCP event loop handed over by `serve_tcp`, until the worker's
+    /// thread runs it.
+    tcp: Option<EventLoop>,
 }
 
 impl Worker {
@@ -123,6 +127,7 @@ impl Worker {
             membership_view: None,
             tenant_stats: HashMap::new(),
             mrcs: HashMap::new(),
+            tcp: None,
         }
     }
 
@@ -1214,10 +1219,9 @@ fn tenant_op(req: &Request) -> Option<TenantOp> {
 /// A worker as the rest of the process sees it: its mailbox, and the
 /// cell that holds the worker's state.
 ///
-/// The worker's thread, in-proc callers and the worker's TCP event loop
-/// take turns on the cell. An in-proc call or a decoded TCP batch that
-/// finds the cell unlocked and the mailbox empty is served on the
-/// calling thread ([`WorkerCell::try_serve`],
+/// The worker's own thread and in-proc callers take turns on the cell.
+/// An in-proc call that finds the cell unlocked and the mailbox empty is
+/// served on the calling thread ([`WorkerCell::try_serve`],
 /// [`WorkerCell::try_serve_batch`]), which saves the mailbox hop;
 /// otherwise it queues like every other message.
 /// Requests that build long-lived worker memory (a store needing a
@@ -1225,7 +1229,8 @@ fn tenant_op(req: &Request) -> Option<TenantOp> {
 /// so do steps ([`WorkerCell::ask`], [`WorkerCell::tell`]).
 /// The thread waits for mail outside the lock, then drains the mailbox
 /// under it, so an inline call never overtakes a message queued before
-/// it started (DESIGN §2.1).
+/// it started (DESIGN §2.1). A worker served over TCP runs its event loop
+/// on this same thread ([`crate::tcp::serve_tcp`]).
 pub struct WorkerCell {
     mailbox: Mailbox<WorkerMsg>,
     worker: Mutex<Option<Worker>>,
@@ -1233,7 +1238,8 @@ pub struct WorkerCell {
 
 impl WorkerCell {
     /// A cell with no worker in it: every message waits in `mailbox`
-    /// for whoever consumes it (test doubles, custom serving loops).
+    /// for whoever consumes it (test doubles). It cannot be served over
+    /// TCP.
     pub fn detached(mailbox: Mailbox<WorkerMsg>) -> Arc<Self> {
         Arc::new(Self {
             mailbox,
@@ -1284,6 +1290,19 @@ impl WorkerCell {
         }
     }
 
+    /// Serves a batch decoded by the worker's event loop, on its own
+    /// thread: every message queued before it first (DESIGN §2.1).
+    /// Counts one `InlineRpcs`; `None` once `Shutdown` stopped the worker.
+    pub(crate) fn serve_batch(&self, reqs: Vec<Request>) -> Option<Vec<Response>> {
+        let mut cell = self.worker.lock();
+        if !self.mailbox.is_empty() && !self.drain_locked(&mut cell) {
+            return None;
+        }
+        let w = cell.as_mut()?;
+        w.ctx.metrics.incr(Counter::InlineRpcs);
+        Some(w.handle_batch(reqs))
+    }
+
     /// Queues `reqs` as one mailbox RPC. The receiver yields the
     /// responses, or disconnects if the worker is gone or shuts down
     /// with the RPC still queued.
@@ -1327,31 +1346,62 @@ impl WorkerCell {
         self.queue(step).recv().ok()
     }
 
+    /// Whether the cell holds a live worker (not detached, not stopped).
+    pub(crate) fn is_live(&self) -> bool {
+        self.worker.lock().is_some()
+    }
+
+    /// Gives `event_loop` to the worker's thread, which runs it from
+    /// this step on until `Shutdown`.
+    pub(crate) fn hand_loop(&self, event_loop: EventLoop) {
+        self.tell(move |w| w.tcp = Some(event_loop));
+    }
+
+    /// Serves every queued message under the cell lock; `false` once
+    /// the worker has shut down.
+    pub(crate) fn drain(&self) -> bool {
+        self.drain_locked(&mut self.worker.lock())
+    }
+
+    /// [`WorkerCell::drain`] with the cell already locked. On `Shutdown`
+    /// the worker leaves the cell, so its memory (and its handle on the
+    /// transport, which points back at this cell through the registry)
+    /// is freed even while callers still hold the cell; the mailbox
+    /// closes, and later calls fail as unreachable.
+    fn drain_locked(&self, cell: &mut Option<Worker>) -> bool {
+        let Some(worker) = cell.as_mut() else {
+            return false;
+        };
+        while let Some(msg) = self.mailbox.try_recv() {
+            if !worker.handle_msg(msg) {
+                self.mailbox.close();
+                *cell = None;
+                return false;
+            }
+        }
+        true
+    }
+
     /// The worker thread's loop: wait for mail, then drain it under the
-    /// cell lock. On `Shutdown` the worker leaves the cell, so its
-    /// memory (and its handle on the transport, which points back at
-    /// this cell through the registry) is freed even while callers
-    /// still hold the cell; the mailbox closes, and later calls fail
-    /// as unreachable.
+    /// cell lock, until `Shutdown`; or, once `serve_tcp` hands it one,
+    /// run the worker's event loop.
     fn run(&self) {
         while self.mailbox.wait() {
             let mut cell = self.worker.lock();
-            let Some(worker) = cell.as_mut() else {
+            if !self.drain_locked(&mut cell) {
                 return;
-            };
-            while let Some(msg) = self.mailbox.try_recv() {
-                if !worker.handle_msg(msg) {
-                    self.mailbox.close();
-                    *cell = None;
-                    return;
-                }
+            }
+            if let Some(event_loop) = cell.as_mut().and_then(|w| w.tcp.take()) {
+                drop(cell);
+                return event_loop.run(self);
             }
         }
     }
 }
 
 /// Spawns a worker thread, returning the worker's cell and the
-/// thread's join handle.
+/// thread's join handle. The thread serves the worker's mailbox, and its
+/// TCP port once [`crate::tcp::serve_tcp`] hands it one, until `Shutdown`.
 pub fn spawn_worker(ctx: WorkerContext) -> (Arc<WorkerCell>, std::thread::JoinHandle<()>) {
     let name = format!("mbal-worker-{}", ctx.addr);
     let cell = Arc::new(WorkerCell {

@@ -1,7 +1,7 @@
 //! Connection-scaling proof for the event-loop transport: one worker
-//! must sustain ≥1k concurrent idle connections while the process
-//! thread count stays bounded by the worker count — no thread per
-//! connection.
+//! must sustain ≥1k concurrent idle connections, and serving it over
+//! TCP must add no thread at all — the worker's own thread runs the
+//! loop, and no connection gets a thread of its own.
 //!
 //! This file deliberately holds a single test: it reads the
 //! process-wide thread count from `/proc/self/status`, and integration
@@ -10,14 +10,14 @@
 
 #![cfg(target_os = "linux")]
 
-use mbal_core::types::{Value, WorkerAddr};
-use mbal_proto::{Request, Response, Status};
-use mbal_server::mailbox::Mailbox;
-use mbal_server::messages::WorkerMsg;
+use mbal_balancer::coordinator::Coordinator;
+use mbal_balancer::BalancerConfig;
+use mbal_core::clock::RealClock;
+use mbal_core::types::{ServerId, WorkerAddr};
+use mbal_proto::{Request, Response};
+use mbal_ring::{ConsistentRing, MappingTable};
 use mbal_server::tcp::serve_tcp_with;
-use mbal_server::worker::WorkerCell;
-use mbal_server::IoConfig;
-use std::collections::HashMap;
+use mbal_server::{InProcRegistry, IoConfig, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -33,56 +33,38 @@ fn thread_count() -> usize {
         .expect("Threads: line")
 }
 
-/// A minimal in-memory worker speaking the mailbox protocol, behind a
-/// detached cell (every batch goes through the mailbox).
-fn spawn_worker() -> Arc<WorkerCell> {
-    let tx = Mailbox::new();
-    let rx = tx.clone();
-    std::thread::spawn(move || {
-        let mut map: HashMap<Vec<u8>, Value> = HashMap::new();
-        let answer = |req: Request, map: &mut HashMap<Vec<u8>, Value>| match req {
-            Request::Get { key, .. } => match map.get(&key) {
-                Some(v) => Response::Value {
-                    value: v.clone(),
-                    replicas: vec![],
-                },
-                None => Response::NotFound,
-            },
-            Request::Set { key, value, .. } => {
-                map.insert(key, value);
-                Response::Stored
-            }
-            _ => Response::Fail {
-                status: Status::Error,
-                message: "unsupported".into(),
-            },
-        };
-        while let Some(msg) = rx.recv() {
-            if let WorkerMsg::Rpc { reqs, done } = msg {
-                done(reqs.into_iter().map(|r| answer(r, &mut map)).collect());
-            }
-        }
-    });
-    WorkerCell::detached(tx)
-}
-
 #[test]
-fn one_worker_sustains_1k_idle_connections_with_bounded_threads() {
+fn one_worker_sustains_1k_idle_connections_with_no_extra_thread() {
     const CONNS: usize = 1_000;
 
-    let worker = spawn_worker();
+    let worker = WorkerAddr::new(0, 0);
+    let mut ring = ConsistentRing::new();
+    ring.add_worker(worker);
+    let mapping = MappingTable::build(&ring, 1, 16);
+    let mut server = Server::spawn(
+        ServerConfig::new(ServerId(0), 1, 4 << 20).cachelets_per_worker(1),
+        &mapping,
+        &InProcRegistry::new(),
+        Arc::new(Coordinator::new(mapping.clone(), BalancerConfig::default())),
+        Arc::new(RealClock::new()),
+    );
     let io = IoConfig {
         max_conns_per_worker: CONNS + 64,
         idle_timeout: None,
         ..IoConfig::default()
     };
-    let bound = serve_tcp_with(&[(WorkerAddr::new(0, 0), worker)], "127.0.0.1", 0, io)
+
+    // Threads once the worker runs, before it serves TCP: the count
+    // the event loop must hold.
+    let before = thread_count();
+    let bound = serve_tcp_with(&server.worker_mailboxes(), "127.0.0.1", 0, io)
         .expect("bind event-loop listener");
     let addr = bound[0].1;
-
-    // Threads after the transport spins up (1 loop thread), before any
-    // client connects: this is the bound the event loop must hold.
-    let before = thread_count();
+    assert_eq!(
+        thread_count(),
+        before,
+        "serving over TCP must run on the worker's own thread"
+    );
 
     let mut conns: Vec<TcpStream> = Vec::with_capacity(CONNS);
     for i in 0..CONNS {
@@ -94,7 +76,7 @@ fn one_worker_sustains_1k_idle_connections_with_bounded_threads() {
     // Prove the sockets are live sessions, not queued-and-forgotten
     // accepts: a request on the first and last connection must round-trip
     // while the other 998 sit idle on the same loop.
-    let cachelet = mbal_core::types::CacheletId(0);
+    let cachelet = mapping.cachelets_of_worker(worker)[0];
     for idx in [0, CONNS - 1] {
         let c = &mut conns[idx];
         c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -112,17 +94,22 @@ fn one_worker_sustains_1k_idle_connections_with_bounded_threads() {
         let mut hdr = [0u8; mbal_proto::codec::HEADER_LEN];
         c.read_exact(&mut hdr).expect("response header");
         let total = mbal_proto::codec::frame_len(&hdr).expect("framed");
-        let mut body = vec![0u8; total - hdr.len()];
-        c.read_exact(&mut body).expect("response body");
+        let mut frame = hdr.to_vec();
+        frame.resize(total, 0);
+        c.read_exact(&mut frame[hdr.len()..])
+            .expect("response body");
+        let (resp, _, opaque) = mbal_proto::codec::decode_response(&frame).expect("decode");
+        assert_eq!((resp, opaque), (Response::Stored, idx as u32));
     }
 
     let after = thread_count();
-    let delta = after.saturating_sub(before);
-    assert!(
-        delta <= 4,
-        "event loop grew {delta} threads for {CONNS} connections \
-         (before={before}, after={after}) — connection handling must not \
-         spawn a thread per connection"
+    assert_eq!(
+        after,
+        before,
+        "the event loop grew {} threads for {CONNS} connections \
+         — connection handling must not spawn a thread",
+        after.saturating_sub(before)
     );
     drop(conns);
+    server.shutdown();
 }

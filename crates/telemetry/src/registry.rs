@@ -101,9 +101,9 @@ pub enum Counter {
     SketchPromotions,
     /// Assignments redirected off a worker at the bounded-load cap.
     RingCapSpills,
-    /// RPC messages (one request or one pipelined batch) served on the
-    /// caller's thread — an in-proc caller or a TCP event loop — instead
-    /// of through the worker's mailbox.
+    /// RPC messages (one request or one pipelined batch) served without
+    /// a mailbox hop: on an in-proc caller's thread, or decoded and
+    /// served by the worker's own TCP event loop.
     InlineRpcs,
 }
 

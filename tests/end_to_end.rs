@@ -85,70 +85,16 @@ fn tcp_cluster_set_get_delete() {
 
 #[test]
 fn multiget_over_tcp_is_one_flush_per_worker() {
-    use mbal::server::mailbox::Mailbox;
-    use mbal::server::messages::WorkerMsg;
-    use mbal::server::worker::WorkerCell;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use mbal::telemetry::Counter;
 
-    // Like `build`, but every worker mailbox is wrapped in a counting
-    // relay behind a detached cell (which never serves inline), so the
-    // test observes exactly what the TCP layer enqueues:
-    // a 64-key MultiGET must reach each home worker as ONE pipelined
+    // A 64-key MultiGET must reach each home worker as ONE pipelined
     // batch (one request flush, one response drain), never as 64
-    // singleton round-trips.
-    let mut ring = ConsistentRing::new();
-    for s in 0..2u16 {
-        for w in 0..2u16 {
-            ring.add_worker(WorkerAddr::new(s, w));
-        }
-    }
-    let mapping = MappingTable::build(&ring, 4, 256);
-    let coordinator = Arc::new(Coordinator::new(mapping.clone(), BalancerConfig::default()));
-    let registry = InProcRegistry::new();
-    let singles = Arc::new(AtomicUsize::new(0));
-    let batches = Arc::new(AtomicUsize::new(0));
-    let mut routes = HashMap::new();
-    let mut servers = Vec::new();
-    for s in 0..2u16 {
-        let server = Server::spawn(
-            ServerConfig::new(ServerId(s), 2, 64 << 20).cachelets_per_worker(4),
-            &mapping,
-            &registry,
-            Arc::clone(&coordinator),
-            Arc::new(RealClock::new()),
-        );
-        let relayed: Vec<_> = server
-            .worker_mailboxes()
-            .into_iter()
-            .map(|(addr, real)| {
-                let tx = Mailbox::<WorkerMsg>::new();
-                let rx = tx.clone();
-                let singles = Arc::clone(&singles);
-                let batches = Arc::clone(&batches);
-                std::thread::spawn(move || {
-                    while let Some(msg) = rx.recv() {
-                        // A pipelined envelope shows up as one
-                        // multi-request message.
-                        if let WorkerMsg::Rpc { reqs, .. } = &msg {
-                            if reqs.len() > 1 {
-                                batches.fetch_add(1, Ordering::SeqCst);
-                            } else {
-                                singles.fetch_add(1, Ordering::SeqCst);
-                            }
-                        }
-                        if real.mailbox().send(msg).is_err() {
-                            break;
-                        }
-                    }
-                });
-                (addr, WorkerCell::detached(tx))
-            })
-            .collect();
-        let bound = serve_tcp(&relayed, "127.0.0.1", 0).expect("bind");
-        routes.extend(bound);
-        servers.push(server);
-    }
-    let transport = TcpTransport::new(routes);
+    // singleton round-trips. The workers' own counters show what the
+    // TCP layer delivered: after a stats reset, every message a worker's
+    // event loop serves counts one `InlineRpcs`, and a message of more
+    // than one request also counts one `BatchRpcs`.
+    let (mut servers, coordinator, transport) = build(2, 2);
+    let mapping = coordinator.mapping_snapshot();
     let mut client = Client::builder(
         Arc::clone(&transport) as Arc<dyn Transport>,
         Arc::clone(&coordinator) as Arc<dyn mbal::client::CoordinatorLink>,
@@ -161,24 +107,33 @@ fn multiget_over_tcp_is_one_flush_per_worker() {
     for k in &keys {
         client.set_opts(k, b"v", SetOptions::new()).expect("set");
     }
-    singles.store(0, Ordering::SeqCst);
-    batches.store(0, Ordering::SeqCst);
+    let workers: Vec<WorkerAddr> = servers.iter().flat_map(|s| s.worker_addrs()).collect();
+    for &w in &workers {
+        client.worker_stats(w, true).expect("stats reset");
+    }
 
     let got = client.multi_get(&keys).expect("multi_get over tcp");
     assert!(got.iter().all(|v| v.is_some()), "all 64 keys must hit");
 
+    let reports: Vec<_> = workers
+        .iter()
+        .map(|&w| client.worker_stats(w, false).expect("stats"))
+        .collect();
+    let total = |c: Counter| reports.iter().map(|r| r.load.metrics.get(c)).sum::<u64>();
     let homes: std::collections::HashSet<WorkerAddr> = keys
         .iter()
         .map(|k| mapping.route(k).expect("routed").1)
         .collect();
+    assert_eq!(total(Counter::Gets), keys.len() as u64);
     assert_eq!(
-        batches.load(Ordering::SeqCst),
-        homes.len(),
+        total(Counter::BatchRpcs),
+        homes.len() as u64,
         "one pipelined batch per home worker"
     );
+    // Every message served is a batch, except each worker's stats read.
     assert_eq!(
-        singles.load(Ordering::SeqCst),
-        0,
+        total(Counter::InlineRpcs) - total(Counter::BatchRpcs),
+        workers.len() as u64,
         "no singleton round-trips during a fully-hit MultiGET"
     );
     for s in &mut servers {
