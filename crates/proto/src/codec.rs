@@ -6,10 +6,18 @@
 //! CAS field is reused for expiry/lease/version payloads, which keeps all
 //! standard ops inside the stock envelope; MBal's extension opcodes place
 //! structured lists in the body.
+//!
+//! Each frame is encoded once, into the caller's buffer: the encoders
+//! write a header whose length fields are patched when the body is done.
+//! Requests go through [`encode_request_into`]; responses through one
+//! writer, either into a flat buffer ([`encode_response`]) or as
+//! fragments that keep value payloads shared with the engine
+//! ([`encode_response_frags_into`]).
 
 use crate::message::{Request, Response, Status};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use mbal_core::types::{CacheletId, ServerId, TenantId, Value, WorkerAddr, WorkerId};
+use std::collections::VecDeque;
 
 /// Request magic byte.
 pub const MAGIC_REQUEST: u8 = 0x80;
@@ -26,6 +34,9 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// Default-tenant frames carry no extras, so pre-tenant peers and frames
 /// interoperate unchanged.
 pub const TENANT_EXTRAS_LEN: u8 = 2;
+/// Bytes an encoder reserves when it starts a frame: the header and a
+/// short key or short metadata, so a small frame takes one allocation.
+const FRAME_RESERVE: usize = 64;
 
 /// Wire opcodes. Standard Memcached values where they exist; MBal
 /// extensions start at 0x40.
@@ -167,7 +178,7 @@ struct Header {
     cas: u64,
 }
 
-fn put_header(buf: &mut BytesMut, h: &Header) {
+fn put_header(buf: &mut Vec<u8>, h: &Header) {
     buf.put_u8(h.magic);
     buf.put_u8(h.opcode);
     buf.put_u16(h.key_len);
@@ -218,33 +229,6 @@ pub fn frame_len(prefix: &[u8]) -> Option<usize> {
     Some(HEADER_LEN + body)
 }
 
-fn simple_request(
-    opcode: Opcode,
-    vb: u16,
-    key: &[u8],
-    value: &[u8],
-    opaque: u32,
-    cas: u64,
-) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + key.len() + value.len());
-    put_header(
-        &mut buf,
-        &Header {
-            magic: MAGIC_REQUEST,
-            opcode: opcode as u8,
-            key_len: key.len() as u16,
-            extras_len: 0,
-            vbucket_or_status: vb,
-            body_len: (key.len() + value.len()) as u32,
-            opaque,
-            cas,
-        },
-    );
-    buf.put_slice(key);
-    buf.put_slice(value);
-    buf
-}
-
 /// Encodes a request into a complete wire frame. `opaque` is echoed in the
 /// matching response for correlation.
 ///
@@ -252,6 +236,33 @@ fn simple_request(
 /// inner request is encoded normally and the tenant id rides the
 /// header's extras field ([`TENANT_EXTRAS_LEN`] bytes before the key).
 pub fn encode_request(req: &Request, opaque: u32) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    encode_request_into(req, opaque, &mut out)?;
+    Ok(out)
+}
+
+/// [`encode_request`] appending the frame to `out`, so a caller can
+/// build a whole write (a batch, a pipelined burst) in one buffer. On
+/// error `out` is left as it was.
+pub fn encode_request_into(
+    req: &Request,
+    opaque: u32,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    let start = out.len();
+    let written = write_request(req, opaque, out);
+    if written.is_err() {
+        out.truncate(start);
+    }
+    written
+}
+
+/// Appends a request frame: a header whose length fields are patched at
+/// the end, the tenant extras, then the key and value or the structured
+/// body.
+fn write_request(req: &Request, opaque: u32, out: &mut Vec<u8>) -> Result<(), CodecError> {
+    let start = out.len();
+    out.reserve(FRAME_RESERVE);
     let (tenant, req) = match req {
         Request::ForTenant { tenant, req } => {
             if matches!(req.as_ref(), Request::ForTenant { .. }) {
@@ -261,50 +272,49 @@ pub fn encode_request(req: &Request, opaque: u32) -> Result<Vec<u8>, CodecError>
         }
         other => (0u16, other),
     };
-    let buf = match req {
-        Request::Get { cachelet, key } => {
-            simple_request(Opcode::Get, vbucket(*cachelet)?, key, &[], opaque, 0)
+    let extras_len = if tenant != 0 { TENANT_EXTRAS_LEN } else { 0 };
+    put_header(
+        out,
+        &Header {
+            magic: MAGIC_REQUEST,
+            opcode: opcode_of(req) as u8,
+            key_len: 0,
+            extras_len,
+            vbucket_or_status: 0,
+            body_len: 0,
+            opaque,
+            cas: 0,
+        },
+    );
+    if tenant != 0 {
+        out.put_u16(tenant);
+    }
+    // Each arm writes its body and yields the vbucket, the key length
+    // (0 for structured bodies) and the cas payload.
+    let (vb, key_len, cas) = match req {
+        Request::Get { cachelet, key } | Request::Delete { cachelet, key } => {
+            (vbucket(*cachelet)?, put_key_value(out, key, &[]), 0)
         }
         Request::Set {
             cachelet,
             key,
             value,
             expiry_ms,
-        } => simple_request(
-            Opcode::Set,
-            vbucket(*cachelet)?,
-            key,
-            value,
-            opaque,
-            *expiry_ms,
-        ),
-        Request::Delete { cachelet, key } => {
-            simple_request(Opcode::Delete, vbucket(*cachelet)?, key, &[], opaque, 0)
         }
-        Request::Add {
+        | Request::Add {
             cachelet,
             key,
             value,
             expiry_ms,
-        } => simple_request(
-            Opcode::Add,
-            vbucket(*cachelet)?,
-            key,
-            value,
-            opaque,
-            *expiry_ms,
-        ),
-        Request::Replace {
+        }
+        | Request::Replace {
             cachelet,
             key,
             value,
             expiry_ms,
-        } => simple_request(
-            Opcode::Replace,
+        } => (
             vbucket(*cachelet)?,
-            key,
-            value,
-            opaque,
+            put_key_value(out, key, value),
             *expiry_ms,
         ),
         Request::Concat {
@@ -312,99 +322,65 @@ pub fn encode_request(req: &Request, opaque: u32) -> Result<Vec<u8>, CodecError>
             key,
             value,
             front,
-        } => simple_request(
-            Opcode::Concat,
+        } => (
             vbucket(*cachelet)?,
-            key,
-            value,
-            opaque,
+            put_key_value(out, key, value),
             u64::from(*front),
         ),
         Request::Incr {
             cachelet,
             key,
             delta,
-        } => simple_request(
-            Opcode::Incr,
+        } => (
             vbucket(*cachelet)?,
-            key,
-            &[],
-            opaque,
+            put_key_value(out, key, &[]),
             *delta as u64,
         ),
         Request::Touch {
             cachelet,
             key,
             expiry_ms,
-        } => simple_request(
-            Opcode::Touch,
+        } => (
             vbucket(*cachelet)?,
-            key,
-            &[],
-            opaque,
+            put_key_value(out, key, &[]),
             *expiry_ms,
         ),
-        Request::ReplicaRead { key } => simple_request(Opcode::ReplicaRead, 0, key, &[], opaque, 0),
+        Request::ReplicaRead { key } | Request::ReplicaInvalidate { key } => {
+            (0, put_key_value(out, key, &[]), 0)
+        }
         Request::ReplicaInstall {
             key,
             value,
             lease_expiry_ms,
-        } => simple_request(
-            Opcode::ReplicaInstall,
-            0,
-            key,
-            value,
-            opaque,
-            *lease_expiry_ms,
-        ),
-        Request::ReplicaUpdate { key, value } => {
-            simple_request(Opcode::ReplicaUpdate, 0, key, value, opaque, 0)
-        }
-        Request::ReplicaInvalidate { key } => {
-            simple_request(Opcode::ReplicaInvalidate, 0, key, &[], opaque, 0)
-        }
-        Request::Stats { reset } => {
-            // The reset flag rides in the cas field, like Concat's
-            // front flag.
-            simple_request(Opcode::Stats, 0, &[], &[], opaque, u64::from(*reset))
-        }
-        Request::Heartbeat { version } => {
-            simple_request(Opcode::Heartbeat, 0, &[], &[], opaque, *version)
-        }
+        } => (0, put_key_value(out, key, value), *lease_expiry_ms),
+        Request::ReplicaUpdate { key, value } => (0, put_key_value(out, key, value), 0),
+        // The reset flag rides in the cas field, like Concat's front flag.
+        Request::Stats { reset } => (0, 0, u64::from(*reset)),
+        Request::Heartbeat { version } => (0, 0, *version),
         Request::MultiGet { keys } => {
-            let mut body = BytesMut::new();
-            body.put_u32(keys.len() as u32);
+            out.put_u32(keys.len() as u32);
             for (c, k) in keys {
-                body.put_u16(vbucket(*c)?);
-                body.put_u16(k.len() as u16);
-                body.put_slice(k);
+                out.put_u16(vbucket(*c)?);
+                out.put_u16(k.len() as u16);
+                out.put_slice(k);
             }
-            framed(Opcode::MultiGet, 0, body, opaque, 0)
+            (0, 0, 0)
         }
         Request::MigrateEntries { cachelet, entries } => {
-            let mut body = BytesMut::new();
-            body.put_u32(entries.len() as u32);
+            out.put_u32(entries.len() as u32);
             for (k, v, exp) in entries {
-                body.put_u16(k.len() as u16);
-                body.put_u32(v.len() as u32);
-                body.put_u64(*exp);
-                body.put_slice(k);
-                body.put_slice(v);
+                out.put_u16(k.len() as u16);
+                out.put_u32(v.len() as u32);
+                out.put_u64(*exp);
+                out.put_slice(k);
+                out.put_slice(v);
             }
-            framed(Opcode::MigrateEntries, vbucket(*cachelet)?, body, opaque, 0)
+            (vbucket(*cachelet)?, 0, 0)
         }
-        Request::MigrateCommit { cachelet } => simple_request(
-            Opcode::MigrateCommit,
-            vbucket(*cachelet)?,
-            &[],
-            &[],
-            opaque,
-            0,
-        ),
+        Request::MigrateCommit { cachelet } => (vbucket(*cachelet)?, 0, 0),
         Request::MigrateAbort { cachelet, home } => {
-            let mut body = BytesMut::new();
-            put_worker(&mut body, *home);
-            framed(Opcode::MigrateAbort, vbucket(*cachelet)?, body, opaque, 0)
+            put_worker(out, *home);
+            (vbucket(*cachelet)?, 0, 0)
         }
         Request::Join {
             server,
@@ -413,50 +389,37 @@ pub fn encode_request(req: &Request, opaque: u32) -> Result<Vec<u8>, CodecError>
         } => {
             // Server id and worker count ride in the body; the
             // incarnation rides in the cas field like other u64 payloads.
-            let mut body = BytesMut::new();
-            body.put_u16(server.0);
-            body.put_u16(*workers);
-            framed(Opcode::Join, 0, body, opaque, *incarnation)
+            out.put_u16(server.0);
+            out.put_u16(*workers);
+            (0, 0, *incarnation)
         }
         Request::Drain { server } => {
-            let mut body = BytesMut::new();
-            body.put_u16(server.0);
-            framed(Opcode::Drain, 0, body, opaque, 0)
+            out.put_u16(server.0);
+            (0, 0, 0)
         }
-        Request::ClusterStatus => simple_request(Opcode::ClusterStatus, 0, &[], &[], opaque, 0),
+        Request::ClusterStatus => (0, 0, 0),
         Request::ForTenant { .. } => unreachable!("tenant wrapper unwrapped above"),
     };
-    let mut frame = buf.to_vec();
-    if tenant != 0 {
-        // Splice the tenant id in as extras and patch the two header
-        // fields that change; every request frame above is built with
-        // zero extras, so the insert point is fixed.
-        frame.splice(HEADER_LEN..HEADER_LEN, tenant.to_be_bytes());
-        frame[4] = TENANT_EXTRAS_LEN;
-        let body_len = u32::from_be_bytes(frame[8..12].try_into().expect("4 bytes"))
-            + TENANT_EXTRAS_LEN as u32;
-        frame[8..12].copy_from_slice(&body_len.to_be_bytes());
-    }
-    Ok(frame)
+    let frame = &mut out[start..];
+    frame[2..4].copy_from_slice(&key_len.to_be_bytes());
+    frame[6..8].copy_from_slice(&vb.to_be_bytes());
+    patch_body_len(frame);
+    frame[16..24].copy_from_slice(&cas.to_be_bytes());
+    Ok(())
 }
 
-fn framed(opcode: Opcode, vb: u16, body: BytesMut, opaque: u32, cas: u64) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + body.len());
-    put_header(
-        &mut buf,
-        &Header {
-            magic: MAGIC_REQUEST,
-            opcode: opcode as u8,
-            key_len: 0,
-            extras_len: 0,
-            vbucket_or_status: vb,
-            body_len: body.len() as u32,
-            opaque,
-            cas,
-        },
-    );
-    buf.put_slice(&body);
-    buf
+/// Appends a key and its value; returns the key length for the header.
+fn put_key_value(out: &mut Vec<u8>, key: &[u8], value: &[u8]) -> u16 {
+    out.reserve(key.len() + value.len());
+    out.put_slice(key);
+    out.put_slice(value);
+    key.len() as u16
+}
+
+/// Sets a frame's body length to everything after its header.
+fn patch_body_len(frame: &mut [u8]) {
+    let body_len = (frame.len() - HEADER_LEN) as u32;
+    frame[8..12].copy_from_slice(&body_len.to_be_bytes());
 }
 
 /// Decodes a request frame, returning the request and its opaque.
@@ -578,7 +541,8 @@ pub fn decode_request(frame: &[u8]) -> Result<(Request, u32), CodecError> {
                 if b.remaining() < klen {
                     return Err(CodecError::Malformed("multiget key bytes"));
                 }
-                keys.push((c, b.copy_to_bytes(klen).to_vec()));
+                keys.push((c, b[..klen].to_vec()));
+                b.advance(klen);
             }
             Request::MultiGet { keys }
         }
@@ -599,7 +563,8 @@ pub fn decode_request(frame: &[u8]) -> Result<(Request, u32), CodecError> {
                 if b.remaining() < klen + vlen {
                     return Err(CodecError::Malformed("migrate entry bytes"));
                 }
-                let k = b.copy_to_bytes(klen).to_vec();
+                let k = b[..klen].to_vec();
+                b.advance(klen);
                 let v = b.copy_to_bytes(vlen);
                 entries.push((k, v, exp));
             }
@@ -624,12 +589,26 @@ pub fn decode_request(frame: &[u8]) -> Result<(Request, u32), CodecError> {
 /// opaque, so callers can correlate per-operation outcomes even when the
 /// connection dies mid-batch.
 pub fn encode_batch_request(reqs: &[Request]) -> Result<Vec<u8>, CodecError> {
-    let mut body = BytesMut::new();
-    body.put_u32(reqs.len() as u32);
+    let mut out = Vec::new();
+    put_header(
+        &mut out,
+        &Header {
+            magic: MAGIC_REQUEST,
+            opcode: Opcode::Batch as u8,
+            key_len: 0,
+            extras_len: 0,
+            vbucket_or_status: 0,
+            body_len: 0,
+            opaque: 0,
+            cas: 0,
+        },
+    );
+    out.put_u32(reqs.len() as u32);
     for (i, req) in reqs.iter().enumerate() {
-        body.put_slice(&encode_request(req, i as u32)?);
+        encode_request_into(req, i as u32, &mut out)?;
     }
-    Ok(framed(Opcode::Batch, 0, body, 0, 0).to_vec())
+    patch_body_len(&mut out);
+    Ok(out)
 }
 
 /// Decodes an [`Opcode::Batch`] envelope into its sub-requests and their
@@ -668,7 +647,7 @@ pub fn is_batch(frame: &[u8]) -> bool {
     frame.len() >= 2 && frame[0] == MAGIC_REQUEST && frame[1] == Opcode::Batch as u8
 }
 
-fn put_worker(buf: &mut BytesMut, w: WorkerAddr) {
+fn put_worker(buf: &mut Vec<u8>, w: WorkerAddr) {
     buf.put_u16(w.server.0);
     buf.put_u16(w.worker.0);
 }
@@ -683,76 +662,144 @@ fn get_worker(b: &mut &[u8]) -> Result<WorkerAddr, CodecError> {
     })
 }
 
-/// Accumulates a response body as iovec-ready fragments: metadata bytes
-/// collect in one owned buffer, while value payloads are appended as
-/// refcounted [`Bytes`] views — a refcount bump, never a copy.
-#[derive(Default)]
-struct FragBuf {
-    frags: Vec<Bytes>,
-    cur: BytesMut,
+/// One fragment of an encoded response, ready for a vectored write.
+#[derive(Debug)]
+pub enum Frag {
+    /// Header and metadata bytes, written once by the encoder.
+    Owned(Vec<u8>),
+    /// A value payload: a refcounted view of the engine's buffer.
+    Shared(Bytes),
 }
 
-impl FragBuf {
-    /// The owned accumulator for metadata bytes.
-    fn owned(&mut self) -> &mut BytesMut {
-        &mut self.cur
-    }
+impl std::ops::Deref for Frag {
+    type Target = [u8];
 
-    /// Appends a value payload by reference count, not by copy.
-    fn put_shared(&mut self, b: &Bytes) {
-        if b.is_empty() {
-            return;
+    fn deref(&self) -> &[u8] {
+        match self {
+            Frag::Owned(v) => v,
+            Frag::Shared(b) => b,
         }
-        if !self.cur.is_empty() {
-            self.frags.push(std::mem::take(&mut self.cur).freeze());
-        }
-        self.frags.push(b.clone());
-    }
-
-    fn len(&self) -> usize {
-        self.frags.iter().map(Bytes::len).sum::<usize>() + self.cur.len()
-    }
-
-    fn finish(mut self) -> Vec<Bytes> {
-        if !self.cur.is_empty() {
-            self.frags.push(self.cur.freeze());
-        }
-        self.frags
     }
 }
 
-/// Encodes a response as write-ready fragments: an owned header/metadata
-/// fragment followed by any value payloads as shared [`Bytes`] views of
-/// the engine's buffer. Concatenated, the fragments are byte-identical
-/// to the frame [`encode_response`] builds, but the value bytes are
-/// never copied — event-loop writers hand the fragments straight to
-/// vectored writes.
-pub fn encode_response_frags(
+/// Where [`write_response`] puts a frame: a flat buffer copies value
+/// payloads in, a fragment queue keeps them shared.
+trait ResponseSink {
+    /// Starts a frame and returns the mark [`ResponseSink::finish`]
+    /// patches it by.
+    fn begin(&mut self) -> usize;
+    /// The owned buffer header and metadata bytes are appended to.
+    fn owned(&mut self) -> &mut Vec<u8>;
+    /// Appends a value payload.
+    fn value(&mut self, v: &Bytes);
+    /// Sets the body length of the frame begun at `mark`.
+    fn finish(&mut self, mark: usize);
+}
+
+impl ResponseSink for Vec<u8> {
+    fn begin(&mut self) -> usize {
+        self.reserve(FRAME_RESERVE);
+        self.len()
+    }
+
+    fn owned(&mut self) -> &mut Vec<u8> {
+        self
+    }
+
+    fn value(&mut self, v: &Bytes) {
+        self.extend_from_slice(v);
+    }
+
+    fn finish(&mut self, mark: usize) {
+        patch_body_len(&mut self[mark..]);
+    }
+}
+
+impl ResponseSink for VecDeque<Frag> {
+    /// The header starts a fresh owned fragment.
+    fn begin(&mut self) -> usize {
+        self.push_back(Frag::Owned(Vec::with_capacity(FRAME_RESERVE)));
+        self.len() - 1
+    }
+
+    fn owned(&mut self) -> &mut Vec<u8> {
+        if !matches!(self.back(), Some(Frag::Owned(_))) {
+            self.push_back(Frag::Owned(Vec::new()));
+        }
+        match self.back_mut() {
+            Some(Frag::Owned(v)) => v,
+            _ => unreachable!("the last fragment is owned"),
+        }
+    }
+
+    /// A refcount bump, never a copy.
+    fn value(&mut self, v: &Bytes) {
+        if !v.is_empty() {
+            self.push_back(Frag::Shared(v.clone()));
+        }
+    }
+
+    fn finish(&mut self, mark: usize) {
+        let len: usize = self.range(mark..).map(|f| f.len()).sum();
+        if let Some(Frag::Owned(head)) = self.get_mut(mark) {
+            head[8..12].copy_from_slice(&((len - HEADER_LEN) as u32).to_be_bytes());
+        }
+    }
+}
+
+/// Appends one response frame to `sink`: the header with its body
+/// length patched at the end, then the body.
+fn write_response(
     resp: &Response,
     opcode: Opcode,
     opaque: u32,
-) -> Result<Vec<Bytes>, CodecError> {
-    let mut body = FragBuf::default();
-    let mut cas = 0u64;
-    let mut vb_status = resp.status() as u16;
+    sink: &mut impl ResponseSink,
+) -> Result<(), CodecError> {
+    // The one fallible step comes first, so a failed encode writes nothing.
+    let cas = match resp {
+        Response::Moved { cachelet, .. } => {
+            vbucket(*cachelet)?;
+            0
+        }
+        Response::Counter { value } => *value,
+        Response::MembershipAck { epoch } => *epoch,
+        Response::HeartbeatAck { version, .. } => *version,
+        _ => 0,
+    };
+    let mark = sink.begin();
+    put_header(
+        sink.owned(),
+        &Header {
+            magic: MAGIC_RESPONSE,
+            opcode: opcode as u8,
+            key_len: 0,
+            extras_len: 0,
+            vbucket_or_status: resp.status() as u16,
+            body_len: 0,
+            opaque,
+            cas,
+        },
+    );
     match resp {
         Response::Value { value, replicas } => {
-            body.owned().put_u16(replicas.len() as u16);
+            let meta = sink.owned();
+            meta.put_u16(replicas.len() as u16);
             for &r in replicas {
-                put_worker(body.owned(), r);
+                put_worker(meta, r);
             }
-            body.put_shared(value);
+            sink.value(value);
         }
         Response::Values { values } => {
-            body.owned().put_u32(values.len() as u32);
+            sink.owned().put_u32(values.len() as u32);
             for v in values {
                 match v {
                     Some(bytes) => {
-                        body.owned().put_u8(1);
-                        body.owned().put_u32(bytes.len() as u32);
-                        body.put_shared(bytes);
+                        let meta = sink.owned();
+                        meta.put_u8(1);
+                        meta.put_u32(bytes.len() as u32);
+                        sink.value(bytes);
                     }
-                    None => body.owned().put_u8(0),
+                    None => sink.owned().put_u8(0),
                 }
             }
         }
@@ -760,52 +807,67 @@ pub fn encode_response_frags(
         | Response::Stored
         | Response::Deleted
         | Response::Touched
-        | Response::MigrateAck => {}
-        Response::Counter { value } => cas = *value,
-        Response::MembershipAck { epoch } => cas = *epoch,
+        | Response::MigrateAck
+        | Response::Counter { .. }
+        | Response::MembershipAck { .. } => {}
         Response::Moved {
             cachelet,
             new_owner,
         } => {
-            vb_status = Status::NotOwner as u16;
-            body.owned().put_u16(vbucket(*cachelet)?);
-            put_worker(body.owned(), *new_owner);
+            let meta = sink.owned();
+            meta.put_u16(cachelet.0 as u16);
+            put_worker(meta, *new_owner);
         }
-        Response::StatsBlob { payload } => body.owned().put_slice(payload),
+        Response::StatsBlob { payload } => sink.owned().put_slice(payload),
         Response::HeartbeatAck {
-            version,
             deltas,
             full_refetch,
+            ..
         } => {
-            cas = *version;
-            body.owned().put_u8(u8::from(*full_refetch));
-            body.owned().put_u32(deltas.len() as u32);
+            let meta = sink.owned();
+            meta.put_u8(u8::from(*full_refetch));
+            meta.put_u32(deltas.len() as u32);
             for (ver, c, w) in deltas {
-                body.owned().put_u64(*ver);
-                body.owned().put_u32(c.0);
-                put_worker(body.owned(), *w);
+                meta.put_u64(*ver);
+                meta.put_u32(c.0);
+                put_worker(meta, *w);
             }
         }
-        Response::Fail { message, .. } => body.owned().put_slice(message.as_bytes()),
+        Response::Fail { message, .. } => sink.owned().put_slice(message.as_bytes()),
     }
-    let mut head = BytesMut::with_capacity(HEADER_LEN);
-    put_header(
-        &mut head,
-        &Header {
-            magic: MAGIC_RESPONSE,
-            opcode: opcode as u8,
-            key_len: 0,
-            extras_len: 0,
-            vbucket_or_status: vb_status,
-            body_len: body.len() as u32,
-            opaque,
-            cas,
-        },
-    );
-    let mut frags = Vec::with_capacity(1 + body.frags.len() + 1);
-    frags.push(head.freeze());
-    frags.extend(body.finish());
-    Ok(frags)
+    sink.finish(mark);
+    Ok(())
+}
+
+/// Encodes a response as write-ready fragments: an owned fragment that
+/// starts with the header, and each value payload as a shared [`Bytes`]
+/// view of the engine's buffer. Concatenated, the fragments are
+/// byte-identical to the frame [`encode_response`] builds.
+pub fn encode_response_frags(
+    resp: &Response,
+    opcode: Opcode,
+    opaque: u32,
+) -> Result<Vec<Bytes>, CodecError> {
+    let mut frags = VecDeque::new();
+    encode_response_frags_into(resp, opcode, opaque, &mut frags)?;
+    let frags = frags.into_iter().map(|f| match f {
+        Frag::Owned(v) => Bytes::from(v),
+        Frag::Shared(b) => b,
+    });
+    Ok(frags.collect())
+}
+
+/// [`encode_response_frags`] appending to a connection's outbound
+/// queue: the value bytes are never copied, and the owned bytes are
+/// written once, so event-loop writers hand the queue straight to
+/// vectored writes. On error `out` is left as it was.
+pub fn encode_response_frags_into(
+    resp: &Response,
+    opcode: Opcode,
+    opaque: u32,
+    out: &mut VecDeque<Frag>,
+) -> Result<(), CodecError> {
+    write_response(resp, opcode, opaque, out)
 }
 
 /// Encodes a response into a complete wire frame. `opcode` is the opcode
@@ -815,11 +877,8 @@ pub fn encode_response(
     opcode: Opcode,
     opaque: u32,
 ) -> Result<Vec<u8>, CodecError> {
-    let frags = encode_response_frags(resp, opcode, opaque)?;
-    let mut out = Vec::with_capacity(frags.iter().map(Bytes::len).sum());
-    for f in &frags {
-        out.extend_from_slice(f);
-    }
+    let mut out = Vec::new();
+    write_response(resp, opcode, opaque, &mut out)?;
     Ok(out)
 }
 

@@ -1,16 +1,15 @@
-//! Incremental stream framing for nonblocking transports.
+//! Incremental stream framing.
 //!
-//! A blocking reader can `read_exact` a 24-byte header and then the
-//! body; an event-loop reader gets whatever bytes the socket had — a
-//! quarter of a header, three and a half pipelined frames — and must
-//! resume where it left off. [`FrameDecoder`] owns that state: push
-//! each chunk as it arrives, pop complete frames as [`Bytes`].
+//! A read gets whatever bytes the socket had — a quarter of a header,
+//! three and a half pipelined frames — and the reader must resume where
+//! it left off. [`FrameDecoder`] owns that state: push each chunk as it
+//! arrives, pop complete frames as [`Bytes`].
 //!
-//! Validation mirrors the blocking reader byte for byte: the magic is
-//! checked as soon as a full header is buffered, and a body length past
-//! [`crate::codec::MAX_FRAME_LEN`] is rejected *before*
-//! any body bytes are awaited, so a hostile header can never make the
-//! server buffer gigabytes.
+//! The server reads requests and the TCP client reads responses through
+//! it. The magic is checked as soon as a full header is buffered, and a
+//! body length past [`crate::codec::MAX_FRAME_LEN`] is rejected *before*
+//! any body bytes are awaited, so a hostile peer can never make either
+//! side buffer gigabytes.
 
 use crate::codec::{self, CodecError, HEADER_LEN, MAGIC_REQUEST, MAGIC_RESPONSE, MAX_FRAME_LEN};
 use bytes::Bytes;
@@ -35,6 +34,10 @@ use bytes::Bytes;
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
+    /// Bytes at the front of `buf` already popped as frames; they are
+    /// dropped at the next [`FrameDecoder::push`], so a read holding
+    /// many frames moves its remainder once, not once per frame.
+    consumed: usize,
     /// Set once a header fails validation; the stream past that point
     /// is garbage and every later pop reports the same error.
     poisoned: Option<CodecError>,
@@ -48,6 +51,8 @@ impl FrameDecoder {
 
     /// Appends bytes read from the stream.
     pub fn push(&mut self, chunk: &[u8]) {
+        self.buf.drain(..self.consumed);
+        self.consumed = 0;
         self.buf.extend_from_slice(chunk);
     }
 
@@ -60,33 +65,35 @@ impl FrameDecoder {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        if self.buf.len() < HEADER_LEN {
+        let rest = &self.buf[self.consumed..];
+        if rest.len() < HEADER_LEN {
             return Ok(None);
         }
-        if self.buf[0] != MAGIC_REQUEST && self.buf[0] != MAGIC_RESPONSE {
-            return Err(self.poison(CodecError::BadMagic(self.buf[0])));
+        if rest[0] != MAGIC_REQUEST && rest[0] != MAGIC_RESPONSE {
+            let magic = rest[0];
+            return Err(self.poison(CodecError::BadMagic(magic)));
         }
-        let total = codec::frame_len(&self.buf).expect("header is buffered");
+        let total = codec::frame_len(rest).expect("header is buffered");
         if total > MAX_FRAME_LEN {
             return Err(self.poison(CodecError::FrameTooLarge(total)));
         }
-        if self.buf.len() < total {
+        if rest.len() < total {
             return Ok(None);
         }
-        let frame = Bytes::copy_from_slice(&self.buf[..total]);
-        self.buf.drain(..total);
+        let frame = Bytes::copy_from_slice(&rest[..total]);
+        self.consumed += total;
         Ok(Some(frame))
     }
 
     /// Bytes buffered but not yet popped as a frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.consumed
     }
 
     /// True when the stream sits at a frame boundary — an EOF here is a
     /// clean close, anywhere else a truncated frame.
     pub fn is_clean(&self) -> bool {
-        self.buf.is_empty() && self.poisoned.is_none()
+        self.buffered() == 0 && self.poisoned.is_none()
     }
 
     fn poison(&mut self, e: CodecError) -> CodecError {

@@ -1,7 +1,8 @@
-//! The nonblocking [`FrameDecoder`] must agree with the blocking
-//! `read_frame` reader (crates/server tcp.rs) on every byte stream and
-//! every split of that stream: same frames out, equivalent verdicts on
-//! hostile headers, truncation, and garbage.
+//! The [`FrameDecoder`] that the server and the TCP client both read
+//! through must agree with a reference blocking reader on every byte
+//! stream and every split of that stream: same frames out, equivalent
+//! verdicts on hostile headers, truncation, and garbage. The reference
+//! is the oracle; it is not used outside this test.
 
 use mbal_core::types::CacheletId;
 use mbal_proto::codec::{
@@ -11,9 +12,9 @@ use mbal_proto::{FrameDecoder, Request};
 use proptest::prelude::*;
 use std::io::{Cursor, ErrorKind, Read};
 
-/// Reference implementation: a verbatim port of the blocking
-/// `read_frame` in the server's TCP transport, reading from an
-/// in-memory cursor instead of a socket.
+/// Reference implementation: a blocking reader that reads a header,
+/// checks it, then reads the body, from an in-memory cursor instead of
+/// a socket.
 fn read_frame_blocking(stream: &mut Cursor<&[u8]>) -> std::io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; HEADER_LEN];
     match stream.read_exact(&mut header) {

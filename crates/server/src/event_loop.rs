@@ -7,8 +7,8 @@
 //! connections instead of on its mailbox, so the server runs one thread
 //! per worker whatever the connection count. Per-connection state is a
 //! `Conn`: a [`FrameDecoder`] reassembling pipelined request frames from
-//! arbitrary reads, and an outbound queue of reference-counted [`Bytes`]
-//! fragments flushed with vectored writes.
+//! arbitrary reads, and an outbound queue of response [`Frag`]s flushed
+//! with vectored writes.
 //!
 //! ## Serving
 //!
@@ -23,13 +23,13 @@
 //!
 //! ## Zero-copy response path
 //!
-//! Responses are encoded with [`codec::encode_response_frags`], which
-//! keeps each value payload as a refcount-bumped [`Bytes`] clone of the
-//! engine's own buffer — header and metadata are owned fragments,
-//! values are borrowed ones — and the flush hands every fragment to
-//! `writev` via [`IoSlice`]. Responses wait for the flush that follows
-//! the read, so the answers to every frame of one read leave together,
-//! up to 64 fragments per `writev`. A cached value is therefore never
+//! Responses are encoded straight onto the connection's queue with
+//! [`codec::encode_response_frags_into`]: each frame's header and
+//! metadata are written once into an owned fragment, and each value
+//! payload is a refcount-bumped clone of the engine's own buffer. The
+//! flush hands every fragment to `writev` via [`IoSlice`]. Responses
+//! wait for the flush that follows the read, so the answers to every
+//! frame of one read leave together, up to 64 fragments per `writev`. A cached value is therefore never
 //! memcpy'd between the engine's return and the kernel.
 //!
 //! ## Half-close
@@ -40,9 +40,8 @@
 
 use crate::config::IoConfig;
 use crate::worker::WorkerCell;
-use bytes::Bytes;
 use mbal_netpoll::{Interest, PollEvent, Poller};
-use mbal_proto::codec::{self, opcode_of, Opcode};
+use mbal_proto::codec::{self, opcode_of, Frag, Opcode};
 use mbal_proto::{FrameDecoder, Request, Response, Status};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -97,7 +96,7 @@ struct Conn {
     dec: FrameDecoder,
     /// Outbound response fragments, oldest first. Value fragments are
     /// refcounted views of engine memory; see the module docs.
-    out: VecDeque<Bytes>,
+    out: VecDeque<Frag>,
     /// Bytes of `out[0]` already written.
     out_head: usize,
     /// Last moment bytes arrived or left; drives idle reaping.
@@ -370,13 +369,12 @@ fn dispatch(conn: &mut Conn, frame: &[u8], cell: &WorkerCell) -> Verdict {
 }
 
 /// Encodes a batch's responses onto the connection's outbound queue.
-/// Value payloads enter the queue as refcounted [`Bytes`] clones — no
-/// copy between the engine's buffer and `writev`.
+/// Value payloads enter the queue as refcounted clones — no copy
+/// between the engine's buffer and `writev`.
 fn queue_responses(conn: &mut Conn, resps: &[Response], meta: Vec<(Opcode, u32)>) -> Verdict {
     for (resp, (opcode, opaque)) in resps.iter().zip(meta) {
-        match codec::encode_response_frags(resp, opcode, opaque) {
-            Ok(frags) => conn.out.extend(frags),
-            Err(_) => return Verdict::Drop,
+        if codec::encode_response_frags_into(resp, opcode, opaque, &mut conn.out).is_err() {
+            return Verdict::Drop;
         }
     }
     Verdict::Keep
@@ -442,9 +440,8 @@ fn queue_protocol_error(conn: &mut Conn, message: &str) {
         status: Status::Error,
         message: message.to_string(),
     };
-    if let Ok(frags) = codec::encode_response_frags(&resp, codec::Opcode::Stats, 0) {
-        conn.out.extend(frags);
-    }
+    // A `Fail` response always encodes.
+    let _ = codec::encode_response_frags_into(&resp, Opcode::Stats, 0, &mut conn.out);
 }
 
 /// Deregisters and forgets a connection; dropping the stream closes it.

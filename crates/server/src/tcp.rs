@@ -8,19 +8,22 @@
 //! [`TcpTransport`] is the client side: pooled connections, per-call
 //! deadlines and a cast pump.
 //!
-//! Batches travel as one [`codec::Opcode::Batch`] envelope per
-//! direction-in, and as pipelined individual response frames (written in
-//! a single flush) direction-out, so a connection drop mid-batch still
-//! yields per-operation outcomes via opaque correlation.
+//! Every call is one exchange: a single request travels as a plain
+//! frame, a batch as one [`codec::Opcode::Batch`] envelope, and the
+//! answers come back as pipelined individual response frames (written
+//! in a single flush) that the client reads through the same
+//! [`FrameDecoder`] the server uses, so a connection drop mid-batch
+//! still yields per-operation outcomes via opaque correlation.
 
 use crate::config::IoConfig;
 use crate::event_loop::EventLoop;
 use crate::transport::{batch_errs, Transport, TransportError, DEFAULT_DEADLINE};
 use crate::worker::WorkerCell;
+use bytes::Bytes;
 use crossbeam_channel::{Receiver, Sender};
 use mbal_core::types::WorkerAddr;
-use mbal_proto::codec::{self, HEADER_LEN};
-use mbal_proto::{Request, Response};
+use mbal_proto::codec;
+use mbal_proto::{FrameDecoder, Request, Response};
 use mbal_telemetry::{Counter, MetricsShard, MetricsSnapshot};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -33,53 +36,11 @@ use std::time::{Duration, Instant};
 const CONNECT_RETRIES: u32 = 3;
 /// Base backoff between connect attempts; doubles each retry.
 const RETRY_BACKOFF: Duration = Duration::from_millis(10);
+/// Bytes a client connection asks the socket for per read.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Per-operation results of a batch exchange.
 type BatchOutcome = Vec<Result<Response, TransportError>>;
-
-/// Reads one length-framed protocol frame off a blocking stream; the
-/// client reads its responses with it. Returns `Ok(None)` on a clean
-/// EOF at a frame boundary.
-/// Malformed headers (bad magic, or a body length past
-/// [`codec::MAX_FRAME_LEN`]) surface as [`ErrorKind::InvalidData`]
-/// rather than a panic or a multi-gigabyte allocation, so a broken or
-/// hostile server can never take down the client.
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; HEADER_LEN];
-    match stream.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    if header[0] != codec::MAGIC_REQUEST && header[0] != codec::MAGIC_RESPONSE {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("bad magic {:#x}", header[0]),
-        ));
-    }
-    let total = match codec::frame_len(&header) {
-        Some(t) if t <= codec::MAX_FRAME_LEN => t,
-        Some(t) => {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "frame of {t} bytes exceeds the {} byte cap",
-                    codec::MAX_FRAME_LEN
-                ),
-            ))
-        }
-        None => {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                "short frame header",
-            ))
-        }
-    };
-    let mut frame = vec![0u8; total];
-    frame[..HEADER_LEN].copy_from_slice(&header);
-    stream.read_exact(&mut frame[HEADER_LEN..])?;
-    Ok(Some(frame))
-}
 
 /// Binds one listener per worker on consecutive ports starting at
 /// `base_port` (0 picks ephemeral ports) and returns the bound
@@ -157,50 +118,97 @@ fn io_err(addr: WorkerAddr, e: &std::io::Error) -> TransportError {
     }
 }
 
-/// Applies the remaining deadline budget to both stream directions,
-/// failing with [`TransportError::Timeout`] once it is exhausted (a zero
-/// socket timeout would be rejected by the OS as "no timeout").
-fn set_stream_deadline(
-    stream: &TcpStream,
-    deadline: Instant,
-    addr: WorkerAddr,
-) -> Result<(), TransportError> {
-    let now = Instant::now();
-    if now >= deadline {
-        return Err(TransportError::Timeout(addr));
-    }
-    let left = deadline - now;
-    stream
-        .set_read_timeout(Some(left))
-        .map_err(|e| TransportError::Broken(e.to_string()))?;
-    stream
-        .set_write_timeout(Some(left))
-        .map_err(|e| TransportError::Broken(e.to_string()))?;
-    Ok(())
+/// Time left before `deadline`, or [`TransportError::Timeout`] once it
+/// is spent (a zero socket timeout would be rejected by the OS as "no
+/// timeout").
+fn time_left(deadline: Instant, addr: WorkerAddr) -> Result<Duration, TransportError> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .filter(|left| !left.is_zero())
+        .ok_or(TransportError::Timeout(addr))
 }
 
-/// One request/response exchange. On failure the `bool` is `true` when
-/// the frame never fully left this side — the worker cannot have seen a
-/// complete frame, so resending on a fresh connection is safe even for
-/// non-idempotent ops — and `false` once the worker may have executed
-/// the request.
-fn exchange_one(
-    stream: &mut TcpStream,
-    frame: &[u8],
-    deadline: Instant,
-    addr: WorkerAddr,
-) -> Result<Response, (bool, TransportError)> {
-    set_stream_deadline(stream, deadline, addr).map_err(|e| (true, e))?;
-    stream
-        .write_all(frame)
-        .map_err(|e| (true, io_err(addr, &e)))?;
-    set_stream_deadline(stream, deadline, addr).map_err(|e| (false, e))?;
-    let resp_frame = read_frame(stream)
-        .map_err(|e| (false, io_err(addr, &e)))?
-        .ok_or_else(|| (false, TransportError::Broken("connection closed".into())))?;
-    let (resp, _, _) = codec::decode_response(&resp_frame)
-        .map_err(|e| (false, TransportError::Broken(e.to_string())))?;
-    Ok(resp)
+fn broken(e: impl ToString) -> TransportError {
+    TransportError::Broken(e.to_string())
+}
+
+/// A client connection: the stream, and the [`FrameDecoder`] that
+/// frames what is read from it — the same decoder the server reads
+/// requests with, so a bad magic or a body length past
+/// [`codec::MAX_FRAME_LEN`] fails the read before any body byte is
+/// awaited or allocated.
+struct Conn {
+    stream: TcpStream,
+    dec: FrameDecoder,
+    /// Scratch the socket is read into before the decoder takes it.
+    rbuf: Box<[u8]>,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        stream.set_nodelay(true).ok();
+        Conn {
+            stream,
+            dec: FrameDecoder::new(),
+            rbuf: vec![0; READ_CHUNK].into_boxed_slice(),
+        }
+    }
+
+    /// Blocks for the next frame, reading only when the decoder holds
+    /// none, until `deadline` at the latest.
+    fn next_frame(&mut self, deadline: Instant, addr: WorkerAddr) -> Result<Bytes, TransportError> {
+        loop {
+            if let Some(frame) = self.dec.next_frame().map_err(broken)? {
+                return Ok(frame);
+            }
+            let left = time_left(deadline, addr)?;
+            self.stream.set_read_timeout(Some(left)).map_err(broken)?;
+            match self.stream.read(&mut self.rbuf) {
+                Ok(0) => return Err(broken("connection closed")),
+                Ok(n) => self.dec.push(&self.rbuf[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(io_err(addr, &e)),
+            }
+        }
+    }
+
+    /// Sends `frame` and reads `n` responses into slots by their opaque:
+    /// a plain request frame (opaque 0) expects one, a batch envelope
+    /// one per sub-request. `Err` means the frame never fully left — the
+    /// worker cannot have seen it, so resending on a fresh connection is
+    /// safe even for non-idempotent ops. Once the frame is out, failures
+    /// degrade to per-operation errors in the slots not yet answered,
+    /// and the frame is never resent, because some of its writes may
+    /// already have executed.
+    fn exchange(
+        &mut self,
+        frame: &[u8],
+        n: usize,
+        deadline: Instant,
+        addr: WorkerAddr,
+    ) -> Result<BatchOutcome, TransportError> {
+        let left = time_left(deadline, addr)?;
+        self.stream.set_write_timeout(Some(left)).map_err(broken)?;
+        self.stream.write_all(frame).map_err(|e| io_err(addr, &e))?;
+        let mut out: BatchOutcome = batch_errs(n, broken("no response before the connection died"));
+        for _ in 0..n {
+            let decoded = self
+                .next_frame(deadline, addr)
+                .and_then(|f| codec::decode_response(&f).map_err(broken));
+            match decoded {
+                Ok((resp, _, opaque)) => {
+                    if let Some(slot) = out.get_mut(opaque as usize) {
+                        *slot = Ok(resp);
+                    }
+                }
+                Err(e) => {
+                    fill_pending(&mut out, e);
+                    break;
+                }
+            }
+        }
+        Ok(out)
+    }
 }
 
 /// Overwrites every not-yet-answered slot with `e`.
@@ -210,64 +218,6 @@ fn fill_pending(out: &mut [Result<Response, TransportError>], e: TransportError)
             *slot = Err(e.clone());
         }
     }
-}
-
-/// Sends one batch envelope and drains its pipelined responses,
-/// correlating by opaque. Write-side failures return `Err((retry_safe,
-/// err))` so the caller can resend the whole batch on a fresh
-/// connection; once response bytes start flowing, failures degrade to
-/// per-operation errors inside the returned vector instead — the batch
-/// is never resent then, because some of its writes may already have
-/// executed.
-fn exchange_batch(
-    stream: &mut TcpStream,
-    frame: &[u8],
-    n: usize,
-    deadline: Instant,
-    addr: WorkerAddr,
-) -> Result<BatchOutcome, (bool, TransportError)> {
-    set_stream_deadline(stream, deadline, addr).map_err(|e| (true, e))?;
-    stream
-        .write_all(frame)
-        .map_err(|e| (true, io_err(addr, &e)))?;
-    let mut out: BatchOutcome = batch_errs(
-        n,
-        TransportError::Broken("no response before the connection died".into()),
-    );
-    for got in 0..n {
-        if let Err(e) = set_stream_deadline(stream, deadline, addr) {
-            fill_pending(&mut out, e);
-            return Ok(out);
-        }
-        let resp_frame = match read_frame(stream) {
-            Ok(Some(f)) => f,
-            Ok(None) => {
-                fill_pending(
-                    &mut out,
-                    TransportError::Broken(format!(
-                        "connection closed after {got} of {n} batch responses"
-                    )),
-                );
-                return Ok(out);
-            }
-            Err(e) => {
-                fill_pending(&mut out, io_err(addr, &e));
-                return Ok(out);
-            }
-        };
-        match codec::decode_response(&resp_frame) {
-            Ok((resp, _, opaque)) => {
-                if let Some(slot) = out.get_mut(opaque as usize) {
-                    *slot = Ok(resp);
-                }
-            }
-            Err(e) => {
-                fill_pending(&mut out, TransportError::Broken(e.to_string()));
-                return Ok(out);
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Drains fire-and-forget casts over dedicated connections, so a slow or
@@ -284,7 +234,7 @@ fn cast_pump(
     read_timeout: Duration,
     metrics: Arc<MetricsShard>,
 ) {
-    let mut conns: HashMap<WorkerAddr, TcpStream> = HashMap::new();
+    let mut conns: HashMap<WorkerAddr, Conn> = HashMap::new();
     while let Ok((addr, req)) = rx.recv() {
         let Ok(frame) = codec::encode_request(&req, 0) else {
             continue;
@@ -299,18 +249,16 @@ fn cast_pump(
             if let std::collections::hash_map::Entry::Vacant(e) = conns.entry(addr) {
                 match TcpStream::connect(sock) {
                     Ok(s) => {
-                        s.set_nodelay(true).ok();
-                        s.set_read_timeout(Some(read_timeout)).ok();
-                        e.insert(s);
+                        e.insert(Conn::new(s));
                     }
                     Err(_) => break,
                 }
             }
-            let stream = conns.get_mut(&addr).expect("just inserted");
-            if stream.write_all(&frame).is_ok() {
-                match read_frame(stream) {
-                    Ok(Some(_)) => {}
-                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            let conn = conns.get_mut(&addr).expect("just inserted");
+            if conn.stream.write_all(&frame).is_ok() {
+                match conn.next_frame(Instant::now() + read_timeout, addr) {
+                    Ok(_) if conn.dec.is_clean() => {}
+                    Err(TransportError::Timeout(_)) => {
                         metrics.incr(Counter::TransportTimeouts);
                         conns.remove(&addr);
                     }
@@ -330,7 +278,7 @@ fn cast_pump(
 /// and a background cast pump for genuinely non-blocking casts.
 pub struct TcpTransport {
     addrs: HashMap<WorkerAddr, SocketAddr>,
-    pool: Mutex<HashMap<WorkerAddr, Vec<TcpStream>>>,
+    pool: Mutex<HashMap<WorkerAddr, Vec<Conn>>>,
     cast_tx: Sender<(WorkerAddr, Request)>,
     /// Client-side transport health counters
     /// ([`Counter::TransportRetries`], [`Counter::TransportTimeouts`]).
@@ -384,20 +332,9 @@ impl TcpTransport {
         e
     }
 
-    /// Counts the timeout slots of a finished batch outcome.
-    fn note_outcome(&self, out: &BatchOutcome) {
-        let t = out
-            .iter()
-            .filter(|r| matches!(r, Err(TransportError::Timeout(_))))
-            .count();
-        if t > 0 {
-            self.metrics.add(Counter::TransportTimeouts, t as u64);
-        }
-    }
-
     /// Opens a fresh connection with bounded retry/backoff under the
     /// deadline.
-    fn connect(&self, addr: WorkerAddr, deadline: Instant) -> Result<TcpStream, TransportError> {
+    fn connect(&self, addr: WorkerAddr, deadline: Instant) -> Result<Conn, TransportError> {
         let sock = *self
             .addrs
             .get(&addr)
@@ -410,10 +347,7 @@ impl TcpTransport {
                 return Err(TransportError::Timeout(addr));
             }
             match TcpStream::connect_timeout(&sock, deadline - now) {
-                Ok(s) => {
-                    s.set_nodelay(true).ok();
-                    return Ok(s);
-                }
+                Ok(s) => return Ok(Conn::new(s)),
                 Err(e) => last = io_err(addr, &e),
             }
             if attempt + 1 < CONNECT_RETRIES {
@@ -430,15 +364,54 @@ impl TcpTransport {
         &self,
         addr: WorkerAddr,
         deadline: Instant,
-    ) -> Result<(TcpStream, bool), TransportError> {
-        if let Some(s) = self.pool.lock().get_mut(&addr).and_then(|v| v.pop()) {
-            return Ok((s, true));
+    ) -> Result<(Conn, bool), TransportError> {
+        if let Some(c) = self.pool.lock().get_mut(&addr).and_then(|v| v.pop()) {
+            return Ok((c, true));
         }
         Ok((self.connect(addr, deadline)?, false))
     }
 
-    fn checkin(&self, addr: WorkerAddr, stream: TcpStream) {
-        self.pool.lock().entry(addr).or_default().push(stream);
+    /// One exchange of `frame` for `n` responses, with the one retry
+    /// rule: a pooled connection whose write failed may have gone stale
+    /// while idle, so the frame is resent once on a fresh connection.
+    /// A connection goes back to the pool only when every response
+    /// arrived and its decoder sits at a frame boundary.
+    fn exchange(
+        &self,
+        addr: WorkerAddr,
+        frame: &[u8],
+        n: usize,
+        deadline: Instant,
+    ) -> BatchOutcome {
+        let (mut conn, pooled) = match self.checkout(addr, deadline) {
+            Ok(c) => c,
+            Err(e) => return batch_errs(n, self.note(e)),
+        };
+        let mut sent = conn.exchange(frame, n, deadline, addr);
+        if pooled && sent.is_err() {
+            self.metrics.incr(Counter::TransportRetries);
+            conn = match self.connect(addr, deadline) {
+                Ok(c) => c,
+                Err(e) => return batch_errs(n, self.note(e)),
+            };
+            sent = conn.exchange(frame, n, deadline, addr);
+        }
+        let out = match sent {
+            Ok(out) => out,
+            Err(e) => return batch_errs(n, self.note(e)),
+        };
+        if out.iter().all(|r| r.is_ok()) && conn.dec.is_clean() {
+            self.pool.lock().entry(addr).or_default().push(conn);
+        }
+        let timeouts = out
+            .iter()
+            .filter(|r| matches!(r, Err(TransportError::Timeout(_))))
+            .count();
+        if timeouts > 0 {
+            self.metrics
+                .add(Counter::TransportTimeouts, timeouts as u64);
+        }
+        out
     }
 }
 
@@ -447,6 +420,8 @@ impl Transport for TcpTransport {
         self.call_with_deadline(addr, req, DEFAULT_DEADLINE)
     }
 
+    /// A single call is a one-frame exchange: a plain request frame out,
+    /// one response back.
     fn call_with_deadline(
         &self,
         addr: WorkerAddr,
@@ -454,31 +429,9 @@ impl Transport for TcpTransport {
         budget: Duration,
     ) -> Result<Response, TransportError> {
         let deadline = Instant::now() + budget;
-        let frame =
-            codec::encode_request(&req, 1).map_err(|e| TransportError::Broken(e.to_string()))?;
-        let (mut stream, pooled) = self.checkout(addr, deadline).map_err(|e| self.note(e))?;
-        match exchange_one(&mut stream, &frame, deadline, addr) {
-            Ok(resp) => {
-                self.checkin(addr, stream);
-                Ok(resp)
-            }
-            Err((retry_safe, e)) => {
-                drop(stream);
-                if pooled && retry_safe {
-                    self.metrics.incr(Counter::TransportRetries);
-                    let mut fresh = self.connect(addr, deadline).map_err(|e| self.note(e))?;
-                    match exchange_one(&mut fresh, &frame, deadline, addr) {
-                        Ok(resp) => {
-                            self.checkin(addr, fresh);
-                            Ok(resp)
-                        }
-                        Err((_, e2)) => Err(self.note(e2)),
-                    }
-                } else {
-                    Err(self.note(e))
-                }
-            }
-        }
+        let frame = codec::encode_request(&req, 0).map_err(broken)?;
+        let mut out = self.exchange(addr, &frame, 1, deadline);
+        out.pop().expect("one slot per request")
     }
 
     /// One batch envelope out, `reqs.len()` pipelined response frames
@@ -490,45 +443,9 @@ impl Transport for TcpTransport {
             return Vec::new();
         }
         let deadline = Instant::now() + budget;
-        let frame = match codec::encode_batch_request(&reqs) {
-            Ok(f) => f,
-            Err(e) => return batch_errs(n, TransportError::Broken(e.to_string())),
-        };
-        let (mut stream, pooled) = match self.checkout(addr, deadline) {
-            Ok(s) => s,
-            Err(e) => return batch_errs(n, self.note(e)),
-        };
-        match exchange_batch(&mut stream, &frame, n, deadline, addr) {
-            Ok(out) => {
-                // A mid-batch failure leaves the stream desynchronised;
-                // only fully-drained connections go back to the pool.
-                if out.iter().all(|r| r.is_ok()) {
-                    self.checkin(addr, stream);
-                }
-                self.note_outcome(&out);
-                out
-            }
-            Err((retry_safe, e)) => {
-                drop(stream);
-                if !(pooled && retry_safe) {
-                    return batch_errs(n, self.note(e));
-                }
-                self.metrics.incr(Counter::TransportRetries);
-                let mut fresh = match self.connect(addr, deadline) {
-                    Ok(s) => s,
-                    Err(e2) => return batch_errs(n, self.note(e2)),
-                };
-                match exchange_batch(&mut fresh, &frame, n, deadline, addr) {
-                    Ok(out) => {
-                        if out.iter().all(|r| r.is_ok()) {
-                            self.checkin(addr, fresh);
-                        }
-                        self.note_outcome(&out);
-                        out
-                    }
-                    Err((_, e2)) => batch_errs(n, self.note(e2)),
-                }
-            }
+        match codec::encode_batch_request(&reqs) {
+            Ok(frame) => self.exchange(addr, &frame, n, deadline),
+            Err(e) => batch_errs(n, broken(e)),
         }
     }
 
@@ -545,7 +462,7 @@ mod tests {
     use crate::mailbox::Mailbox;
     use crate::server::Server;
     use mbal_core::types::CacheletId;
-    use mbal_proto::codec::opcode_of;
+    use mbal_proto::codec::{opcode_of, HEADER_LEN};
 
     /// A server of `workers` workers, two cachelets each; worker 0
     /// owns cachelets 0 and 1 when it is the only one.
@@ -752,13 +669,17 @@ mod tests {
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
         let sock = listener.local_addr().expect("addr");
         std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().expect("accept");
-            let frame = read_frame(&mut conn).expect("read").expect("frame");
+            let (conn, _) = listener.accept().expect("accept");
+            let mut conn = Conn::new(conn);
+            let deadline = Instant::now() + DEFAULT_DEADLINE;
+            let frame = conn
+                .next_frame(deadline, WorkerAddr::new(0, 0))
+                .expect("frame");
             let subs = codec::decode_batch_request(&frame).expect("batch");
             for (req, opaque) in subs.into_iter().take(2) {
                 let bytes = codec::encode_response(&Response::Stored, opcode_of(&req), opaque)
                     .expect("encode");
-                conn.write_all(&bytes).expect("write");
+                conn.stream.write_all(&bytes).expect("write");
             }
             // Dropping `conn` closes the stream mid-batch.
         });

@@ -111,6 +111,77 @@ fn tcp_connection_dying_mid_batch_degrades_to_per_op_errors() {
     );
 }
 
+/// An endpoint whose `i`-th connection answers every request with
+/// `replies[i]`, and whose later connections answer with a well-formed
+/// `NotFound`. Each connection stays open until the client closes it, so
+/// a client that waits on a hostile reply waits for its deadline.
+fn hostile_endpoint(replies: Vec<Vec<u8>>) -> (std::net::SocketAddr, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let sock = listener.local_addr().expect("addr");
+    let accepts = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&accepts);
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut conn) = conn else { return };
+            let nth = counter.fetch_add(1, Ordering::SeqCst);
+            let reply = replies.get(nth).cloned();
+            std::thread::spawn(move || {
+                while let Some(frame) = read_frame(&mut conn) {
+                    let (req, opaque) = codec::decode_request(&frame).expect("request frame");
+                    let bytes = reply.clone().unwrap_or_else(|| {
+                        codec::encode_response(&Response::NotFound, opcode_of(&req), opaque)
+                            .expect("encode")
+                    });
+                    if conn.write_all(&bytes).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    (sock, accepts)
+}
+
+#[test]
+fn a_hostile_response_header_breaks_the_call_and_its_connection() {
+    let bad_magic = vec![0x55u8; HEADER_LEN];
+    let mut too_large = vec![0u8; HEADER_LEN];
+    too_large[0] = codec::MAGIC_RESPONSE;
+    too_large[8..12].copy_from_slice(&(codec::MAX_FRAME_LEN as u32).to_be_bytes());
+    let (sock, accepts) = hostile_endpoint(vec![bad_magic, too_large]);
+    let worker = WorkerAddr::new(0, 0);
+    let transport = TcpTransport::new([(worker, sock)].into_iter().collect());
+    let get = Request::Get {
+        cachelet: CacheletId(0),
+        key: b"k".to_vec(),
+    };
+    let budget = Duration::from_secs(5);
+
+    for (nth, header) in ["bad magic", "over-cap length"].into_iter().enumerate() {
+        let started = Instant::now();
+        let res = transport.call_with_deadline(worker, get.clone(), budget);
+        assert!(
+            matches!(res, Err(TransportError::Broken(_))),
+            "{header}: got {res:?}"
+        );
+        assert!(
+            started.elapsed() < budget,
+            "{header}: the header alone must fail the call, not the deadline"
+        );
+        assert_eq!(
+            accepts.load(Ordering::SeqCst),
+            nth + 1,
+            "{header}: each call dials anew, so no broken connection was pooled"
+        );
+    }
+    // The third connection is well-behaved, and the call goes through.
+    assert_eq!(
+        transport.call_with_deadline(worker, get, budget),
+        Ok(Response::NotFound)
+    );
+    assert_eq!(accepts.load(Ordering::SeqCst), 3);
+}
+
 fn build_cluster(
     n_servers: u16,
     workers: u16,
